@@ -24,8 +24,8 @@
 //!
 //! Exits nonzero when the VM is below `--min-ratio` (default 2.0) times
 //! the tree-walker on the full run, or the native tier is below
-//! `--min-native-ratio` (default 2.5) times the tree-walker or below
-//! `--min-native-vm-ratio` (default 1.1) times the VM on the
+//! `--min-native-ratio` (default 3.5) times the tree-walker or below
+//! `--min-native-vm-ratio` (default 1.5) times the VM on the
 //! executor-only measurement — margins below the measured ratios recorded
 //! in DESIGN.md, so the gates fail only on real regressions. Gates only
 //! apply to measured tiers; `--tier` restricts the run to one tier (no
@@ -53,8 +53,8 @@ const USAGE: &str = "usage: vm_throughput [--tier T] [--native-tier T] [--procs 
   --steps N              barnes-hut time steps (default: 2)
   --repeats N            host-timing repeats, best-of (default: 3)
   --min-ratio R          fail unless full-run vm/tree throughput >= R (default: 2.0)
-  --min-native-ratio R   fail unless executor-only native/tree >= R (default: 2.5)
-  --min-native-vm-ratio R fail unless executor-only native/vm >= R (default: 1.1)";
+  --min-native-ratio R   fail unless executor-only native/tree >= R (default: 3.5)
+  --min-native-vm-ratio R fail unless executor-only native/vm >= R (default: 1.5)";
 
 struct Opts {
     tier: Option<ExecTier>,
@@ -86,8 +86,8 @@ fn parse_opts() -> Opts {
         steps: 2,
         repeats: 3,
         min_ratio: 2.0,
-        min_native_ratio: 2.5,
-        min_native_vm_ratio: 1.1,
+        min_native_ratio: 3.5,
+        min_native_vm_ratio: 1.5,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {

@@ -212,15 +212,7 @@ impl HostRegistry {
 
     /// Fetch the host function for extern `ext`, linking lazily if the
     /// registry changed (or was never linked) since the last call.
-    ///
-    /// # Errors
-    ///
-    /// Returns a runtime error when the extern has no host implementation.
-    pub fn dispatch(
-        &mut self,
-        ext: usize,
-        externs: &[Extern],
-    ) -> Result<&mut HostFn, RuntimeError> {
+    fn dispatch(&mut self, ext: usize, externs: &[Extern]) -> Result<&mut HostFn, RuntimeError> {
         if self.resolved.len() != externs.len() {
             self.link(externs);
         }
@@ -233,6 +225,87 @@ impl HostRegistry {
         }
         Ok(&mut self.fns[idx])
     }
+
+    /// Call extern `ext` — the one host-call path of every tier: dispatch
+    /// it, charge its cost into `sink` (`extern_default` when the host sets
+    /// none), run it, and check the result against the extern's declared
+    /// return type, so a mistyped host fails at the call instead of
+    /// poisoning a typed register.
+    ///
+    /// # Errors
+    ///
+    /// Returns a runtime error when the extern has no host implementation
+    /// or its host returns a value of another type than declared.
+    #[inline]
+    pub fn call(
+        &mut self,
+        ext: usize,
+        externs: &[Extern],
+        args: &[Value],
+        extern_default: Duration,
+        sink: &mut OpSink,
+    ) -> Result<Value, RuntimeError> {
+        let host_fn = self.dispatch(ext, externs)?;
+        sink.compute(if host_fn.cost.is_zero() { extern_default } else { host_fn.cost });
+        let v = (host_fn.call)(args);
+        let decl = &externs[ext];
+        if decl.ret == Ty::Void || fits(v, Value::default_for(&decl.ret)) {
+            Ok(v)
+        } else {
+            Err(RuntimeError::new(format!(
+                "extern `{}` returned {v:?}, declared `{}`",
+                decl.name, decl.ret
+            )))
+        }
+    }
+}
+
+/// Whether `v` can live in a slot whose type has the default `slot`: the
+/// same scalar tag, or any reference for a reference slot.
+fn fits(v: Value, slot: Value) -> bool {
+    use Value::{Arr, Bool, Double, Int, Null, Obj};
+    match slot {
+        Int(_) => matches!(v, Int(_)),
+        Double(_) => matches!(v, Double(_)),
+        Bool(_) => matches!(v, Bool(_)),
+        Obj(_) | Arr(_) | Null => matches!(v, Obj(_) | Arr(_) | Null),
+    }
+}
+
+/// Validate entry arguments against a function's parameters, given as
+/// their type defaults: the same check, with the same messages, in every
+/// tier's `call`.
+///
+/// # Errors
+///
+/// Returns a runtime error on an arity mismatch or an argument whose tag
+/// does not fit its parameter's type.
+pub(crate) fn check_args(
+    func: &str,
+    params: impl ExactSizeIterator<Item = Value>,
+    args: &[Value],
+) -> Result<(), RuntimeError> {
+    if params.len() != args.len() {
+        return Err(RuntimeError::new(format!(
+            "`{func}` expects {} arguments, got {}",
+            params.len(),
+            args.len()
+        )));
+    }
+    for (i, (p, &a)) in params.zip(args).enumerate() {
+        if !fits(a, p) {
+            let want = match p {
+                Value::Int(_) => "int",
+                Value::Double(_) => "double",
+                Value::Bool(_) => "bool",
+                _ => "a reference",
+            };
+            return Err(RuntimeError::new(format!(
+                "argument {i} of `{func}` is {a:?}, expected {want}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The cost model for interpreted code.
@@ -316,8 +389,23 @@ impl<'a> Interp<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates any runtime error from the callee.
+    /// Returns a runtime error when the arguments do not match the
+    /// callee's parameters, and propagates any runtime error from the
+    /// callee.
     pub fn call(
+        &mut self,
+        func: usize,
+        this: Option<Value>,
+        args: Vec<Value>,
+    ) -> Result<Value, RuntimeError> {
+        let f = &self.funcs[func];
+        let params = f.locals[..f.num_params].iter().map(|l| Value::default_for(&l.ty));
+        check_args(&f.name, params, &args)?;
+        self.invoke(func, this, args)
+    }
+
+    /// A call sema already checked.
+    fn invoke(
         &mut self,
         func: usize,
         this: Option<Value>,
@@ -325,7 +413,6 @@ impl<'a> Interp<'a> {
     ) -> Result<Value, RuntimeError> {
         self.charge()?;
         let f = &self.funcs[func];
-        debug_assert_eq!(args.len(), f.num_params, "arity of `{}`", f.name);
         let mut locals: Vec<Value> = f.locals.iter().map(|l| Value::default_for(&l.ty)).collect();
         locals[..args.len()].copy_from_slice(&args);
         let mut frame = Frame { locals, this };
@@ -497,17 +584,7 @@ impl<'a> Interp<'a> {
             }
             ExprKind::Unary { op, expr } => {
                 let v = self.eval(expr, frame)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Double(x) => Value::Double(-x),
-                        _ => return Err(RuntimeError::new("negating non-number")),
-                    },
-                    UnOp::Not => match v {
-                        Value::Bool(b) => Value::Bool(!b),
-                        _ => return Err(RuntimeError::new("`!` on non-bool")),
-                    },
-                }
+                unary_op(*op, v)?
             }
             ExprKind::IntToDouble(inner) => {
                 let v = self.eval(inner, frame)?;
@@ -515,7 +592,7 @@ impl<'a> Interp<'a> {
             }
             ExprKind::CallFn { func, args } => {
                 let argv = self.eval_args(args, frame)?;
-                self.call(func.0, None, argv)?
+                self.invoke(func.0, None, argv)?
             }
             ExprKind::CallMethod { obj, func, args } => {
                 let o = self.eval(obj, frame)?;
@@ -526,16 +603,12 @@ impl<'a> Interp<'a> {
                     )));
                 }
                 let argv = self.eval_args(args, frame)?;
-                self.call(func.0, Some(o), argv)?
+                self.invoke(func.0, Some(o), argv)?
             }
             ExprKind::CallExtern { ext, args } => {
                 let argv = self.eval_args(args, frame)?;
                 let ProgramEnv { host, externs, .. } = &mut *self.env;
-                let host_fn = host.dispatch(ext.0, externs)?;
-                let cost =
-                    if host_fn.cost.is_zero() { self.cost.extern_default } else { host_fn.cost };
-                self.sink.compute(cost);
-                (host_fn.call)(&argv)
+                host.call(ext.0, externs, &argv, self.cost.extern_default, self.sink)?
             }
             ExprKind::New { class } => {
                 let id = self.env.heap.alloc_object(class.0, &self.env.classes);
@@ -604,6 +677,18 @@ pub(crate) fn binary_op(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeE
                 "type error in binary op {op:?} on {l:?}, {r:?}"
             )))
         }
+    })
+}
+
+/// Apply a unary operator to a value; shared like [`binary_op`].
+#[inline]
+pub(crate) fn unary_op(op: UnOp, v: Value) -> Result<Value, RuntimeError> {
+    Ok(match (op, v) {
+        (UnOp::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
+        (UnOp::Neg, Value::Double(x)) => Value::Double(-x),
+        (UnOp::Neg, _) => return Err(RuntimeError::new("negating non-number")),
+        (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
+        (UnOp::Not, _) => return Err(RuntimeError::new("`!` on non-bool")),
     })
 }
 

@@ -33,6 +33,28 @@
 //!   for the fuel actually consumed, so the exhaustion point and the
 //!   partial sink match the VM and the tree-walker bit-for-bit.
 //!
+//! ## Typed kernels
+//!
+//! The mini-language is statically typed, and lowering carries sema's
+//! operand type into every [`Insn::Binary`] and [`Insn::Unary`] as an
+//! [`OpTy`]. Kernel selection keys on `(type, operator, operand shape)`:
+//! f64 `+ - * /`, i64 wrapping `+ - *`, the six comparisons on either,
+//! `Neg`, and `IntToDouble` compile to kernels over untagged operands —
+//! one total read per operand (`Double(x) => x`, anything else NaN; `0`
+//! for i64) and no tag dispatch, no guard, no error path. Reference
+//! `==`/`!=`, the bool operators, and int `/`/`%` (division by zero must
+//! raise) keep the checked, tag-dispatching `binary_op`.
+//!
+//! No guard is needed because every way a value enters a register is
+//! typed: typed kernels, typed local defaults, heap and globals that only
+//! program code writes (with values of the slot's sema type), host
+//! results checked against the extern's declared return type
+//! ([`HostRegistry::call`](crate::interp::HostRegistry::call)), and entry
+//! arguments checked against the callee's parameters ([`NativeExec::call`]).
+//! Should that argument ever break, a mismatched tag reads as NaN or 0 — a
+//! wrong number, never undefined behaviour (a `debug_assert!` flags it in
+//! debug builds).
+//!
 //! ## The kernel calling convention
 //!
 //! A kernel returns a bare `u32` — the next block index, or one of three
@@ -69,8 +91,8 @@
 //! preceding node charges after the call). `tests/native_differential.rs`
 //! enforces the contract across all three tiers.
 
-use crate::interp::{binary_op, CostModel, HostFn, ProgramEnv, RuntimeError, Value};
-use crate::vm::{Insn, VmFunc, VmModule, NO_REG};
+use crate::interp::{binary_op, check_args, unary_op, CostModel, ProgramEnv, RuntimeError, Value};
+use crate::vm::{Insn, OpTy, VmFunc, VmModule, NO_REG};
 use dynfb_lang::hir::{BinOp, UnOp};
 use dynfb_sim::{LockId, OpSink};
 use std::fmt;
@@ -214,12 +236,14 @@ enum MOp {
     Binary {
         dst: usize,
         op: BinOp,
+        ty: OpTy,
         lhs: Operand,
         rhs: Operand,
     },
     Unary {
         dst: usize,
         op: UnOp,
+        ty: OpTy,
         src: Operand,
     },
     IntToDouble {
@@ -919,7 +943,7 @@ fn propagate(
             p.def(d, Val::Unknown);
             out.push(MOp::ArrayLen { dst: d, arr });
         }
-        Insn::Binary { dst, op, lhs, rhs } => {
+        Insn::Binary { dst, op, ty, lhs, rhs } => {
             let (lhs, rhs) = (p.resolve(r(*lhs)), p.resolve(r(*rhs)));
             let d = r(*dst);
             // Constant folding: `binary_op` is deterministic, so a
@@ -934,13 +958,13 @@ fn propagate(
                 }
             }
             p.def(d, Val::Unknown);
-            out.push(MOp::Binary { dst: d, op: *op, lhs, rhs });
+            out.push(MOp::Binary { dst: d, op: *op, ty: *ty, lhs, rhs });
         }
-        Insn::Unary { dst, op, src } => {
+        Insn::Unary { dst, op, ty, src } => {
             let src = p.resolve(r(*src));
             let d = r(*dst);
             p.def(d, Val::Unknown);
-            out.push(MOp::Unary { dst: d, op: *op, src });
+            out.push(MOp::Unary { dst: d, op: *op, ty: *ty, src });
         }
         Insn::IntToDouble { dst, src } => {
             let src = p.resolve(r(*src));
@@ -1002,6 +1026,79 @@ fn propagate(
         Insn::Jump { .. } | Insn::JumpIfFalse { .. } | Insn::Call { .. } | Insn::Return { .. } => {
             unreachable!("terminators are block exits, not straight-line ops")
         }
+    }
+}
+
+/// The operand read of a typed kernel. Sema resolved the operand's type
+/// and every boundary a value enters registers through is typed (see the
+/// module docs), so the tag always matches. The read is total anyway — a
+/// mismatch yields NaN or 0, never undefined behaviour — so kernels carry
+/// no tag test and no error path.
+trait Untag: Copy + Send + Sync + 'static {
+    fn untag(v: Value) -> Self;
+}
+
+impl Untag for f64 {
+    #[inline(always)]
+    fn untag(v: Value) -> f64 {
+        debug_assert!(matches!(v, Value::Double(_)), "double operand holds {v:?}");
+        match v {
+            Value::Double(x) => x,
+            _ => f64::NAN,
+        }
+    }
+}
+
+impl Untag for i64 {
+    #[inline(always)]
+    fn untag(v: Value) -> i64 {
+        debug_assert!(matches!(v, Value::Int(_)), "int operand holds {v:?}");
+        match v {
+            Value::Int(x) => x,
+            _ => 0,
+        }
+    }
+}
+
+/// A typed binary kernel: `f` over untagged operands, monomorphized per
+/// operator and per operand shape (reg-reg, reg-imm, imm-reg; immediates
+/// are untagged once, here).
+fn typed_binary<T: Untag>(
+    dst: usize,
+    lhs: Operand,
+    rhs: Operand,
+    ch: ChargePrologue,
+    node_cost: Duration,
+    next: Kernel,
+    f: impl Fn(T, T) -> Value + Send + Sync + 'static,
+) -> Kernel {
+    match (lhs, rhs) {
+        (Operand::Reg(l), Operand::Reg(r)) => kch(ch, node_cost, move |fr| {
+            let v = f(T::untag(fr.rd(l)), T::untag(fr.rd(r)));
+            fr.wr(dst, v);
+            next(fr)
+        }),
+        (Operand::Reg(l), Operand::Imm(b)) => {
+            let b = T::untag(b);
+            kch(ch, node_cost, move |fr| {
+                let v = f(T::untag(fr.rd(l)), b);
+                fr.wr(dst, v);
+                next(fr)
+            })
+        }
+        (Operand::Imm(a), Operand::Reg(r)) => {
+            let a = T::untag(a);
+            kch(ch, node_cost, move |fr| {
+                let v = f(a, T::untag(fr.rd(r)));
+                fr.wr(dst, v);
+                next(fr)
+            })
+        }
+        (lhs, rhs) => kch(ch, node_cost, move |fr| {
+            let v = f(T::untag(rdop!(fr, lhs)), T::untag(rdop!(fr, rhs)));
+            fr.wr(dst, v);
+            next(fr)
+        }),
     }
 }
 
@@ -1123,98 +1220,72 @@ fn build_kernel(
             fr.wr(dst, v);
             next(fr)
         }),
-        MOp::Binary { dst, op, lhs, rhs } => {
-            // Monomorphize the operator and the three hot operand shapes
-            // (reg-reg, reg-imm, imm-reg) so `binary_op` const-folds per
-            // arm.
-            macro_rules! bink {
-                ($op:expr) => {
-                    match (lhs, rhs) {
-                        (Operand::Reg(l), Operand::Reg(r2)) => kch(ch, node_cost, move |fr| {
-                            match binary_op($op, fr.rd(l), fr.rd(r2)) {
-                                Ok(v) => {
-                                    fr.wr(dst, v);
-                                    next(fr)
-                                }
-                                Err(e) => fr.fail(e),
-                            }
-                        }),
-                        (Operand::Reg(l), Operand::Imm(b)) => {
-                            kch(ch, node_cost, move |fr| match binary_op($op, fr.rd(l), b) {
-                                Ok(v) => {
-                                    fr.wr(dst, v);
-                                    next(fr)
-                                }
-                                Err(e) => fr.fail(e),
-                            })
-                        }
-                        (Operand::Imm(a), Operand::Reg(r2)) => {
-                            kch(ch, node_cost, move |fr| match binary_op($op, a, fr.rd(r2)) {
-                                Ok(v) => {
-                                    fr.wr(dst, v);
-                                    next(fr)
-                                }
-                                Err(e) => fr.fail(e),
-                            })
-                        }
-                        (lhs, rhs) => kch(ch, node_cost, move |fr| {
-                            let a = rdop!(fr, lhs);
-                            let b = rdop!(fr, rhs);
-                            match binary_op($op, a, b) {
-                                Ok(v) => {
-                                    fr.wr(dst, v);
-                                    next(fr)
-                                }
-                                Err(e) => fr.fail(e),
-                            }
-                        }),
-                    }
+        MOp::Binary { dst, op, ty, lhs, rhs } => {
+            use Value::{Bool, Double, Int};
+            macro_rules! typed {
+                ($t:ty, $f:expr) => {
+                    typed_binary::<$t>(dst, lhs, rhs, ch, node_cost, next, $f)
                 };
             }
-            match op {
-                BinOp::Add => bink!(BinOp::Add),
-                BinOp::Sub => bink!(BinOp::Sub),
-                BinOp::Mul => bink!(BinOp::Mul),
-                BinOp::Div => bink!(BinOp::Div),
-                BinOp::Rem => bink!(BinOp::Rem),
-                BinOp::Eq => bink!(BinOp::Eq),
-                BinOp::Ne => bink!(BinOp::Ne),
-                BinOp::Lt => bink!(BinOp::Lt),
-                BinOp::Le => bink!(BinOp::Le),
-                BinOp::Gt => bink!(BinOp::Gt),
-                BinOp::Ge => bink!(BinOp::Ge),
-                BinOp::And => bink!(BinOp::And),
-                BinOp::Or => bink!(BinOp::Or),
+            match (ty, op) {
+                (OpTy::Double, BinOp::Add) => typed!(f64, |a, b| Double(a + b)),
+                (OpTy::Double, BinOp::Sub) => typed!(f64, |a, b| Double(a - b)),
+                (OpTy::Double, BinOp::Mul) => typed!(f64, |a, b| Double(a * b)),
+                (OpTy::Double, BinOp::Div) => typed!(f64, |a, b| Double(a / b)),
+                (OpTy::Double, BinOp::Lt) => typed!(f64, |a, b| Bool(a < b)),
+                (OpTy::Double, BinOp::Le) => typed!(f64, |a, b| Bool(a <= b)),
+                (OpTy::Double, BinOp::Gt) => typed!(f64, |a, b| Bool(a > b)),
+                (OpTy::Double, BinOp::Ge) => typed!(f64, |a, b| Bool(a >= b)),
+                (OpTy::Double, BinOp::Eq) => typed!(f64, |a, b| Bool(a == b)),
+                (OpTy::Double, BinOp::Ne) => typed!(f64, |a, b| Bool(a != b)),
+                (OpTy::Int, BinOp::Add) => typed!(i64, |a: i64, b| Int(a.wrapping_add(b))),
+                (OpTy::Int, BinOp::Sub) => typed!(i64, |a: i64, b| Int(a.wrapping_sub(b))),
+                (OpTy::Int, BinOp::Mul) => typed!(i64, |a: i64, b| Int(a.wrapping_mul(b))),
+                (OpTy::Int, BinOp::Lt) => typed!(i64, |a, b| Bool(a < b)),
+                (OpTy::Int, BinOp::Le) => typed!(i64, |a, b| Bool(a <= b)),
+                (OpTy::Int, BinOp::Gt) => typed!(i64, |a, b| Bool(a > b)),
+                (OpTy::Int, BinOp::Ge) => typed!(i64, |a, b| Bool(a >= b)),
+                (OpTy::Int, BinOp::Eq) => typed!(i64, |a, b| Bool(a == b)),
+                (OpTy::Int, BinOp::Ne) => typed!(i64, |a, b| Bool(a != b)),
+                // Reference `==`/`!=`, the bool operators, and int `/`/`%`
+                // (which raise division by zero) stay on the checked,
+                // tag-dispatching path.
+                _ => kch(ch, node_cost, move |fr| {
+                    let (a, b) = (rdop!(fr, lhs), rdop!(fr, rhs));
+                    match binary_op(op, a, b) {
+                        Ok(v) => {
+                            fr.wr(dst, v);
+                            next(fr)
+                        }
+                        Err(e) => fr.fail(e),
+                    }
+                }),
             }
         }
-        MOp::Unary { dst, op, src } => match op {
-            UnOp::Neg => kch(ch, node_cost, move |fr| {
-                let v = match rdop!(fr, src) {
-                    Value::Int(x) => Value::Int(-x),
-                    Value::Double(x) => Value::Double(-x),
-                    _ => return fr.fail(RuntimeError::new("negating non-number")),
-                };
+        MOp::Unary { dst, op, ty, src } => match (op, ty) {
+            (UnOp::Neg, OpTy::Double) => kch(ch, node_cost, move |fr| {
+                let v = Value::Double(-f64::untag(rdop!(fr, src)));
                 fr.wr(dst, v);
                 next(fr)
             }),
-            UnOp::Not => kch(ch, node_cost, move |fr| {
-                let v = match rdop!(fr, src) {
-                    Value::Bool(b) => Value::Bool(!b),
-                    _ => return fr.fail(RuntimeError::new("`!` on non-bool")),
-                };
+            (UnOp::Neg, OpTy::Int) => kch(ch, node_cost, move |fr| {
+                let v = Value::Int(i64::untag(rdop!(fr, src)).wrapping_neg());
                 fr.wr(dst, v);
                 next(fr)
             }),
-        },
-        MOp::IntToDouble { dst, src } => {
-            kch(ch, node_cost, move |fr| match rdop!(fr, src).as_int() {
-                Ok(i) => {
-                    fr.wr(dst, Value::Double(i as f64));
+            _ => kch(ch, node_cost, move |fr| match unary_op(op, rdop!(fr, src)) {
+                Ok(v) => {
+                    fr.wr(dst, v);
                     next(fr)
                 }
                 Err(e) => fr.fail(e),
-            })
-        }
+            }),
+        },
+        MOp::IntToDouble { dst, src } => kch(ch, node_cost, move |fr| {
+            let v = Value::Double(i64::untag(rdop!(fr, src)) as f64);
+            fr.wr(dst, v);
+            next(fr)
+        }),
         MOp::CheckInt { src } => kch(ch, node_cost, move |fr| match rdop!(fr, src).as_int() {
             Ok(_) => next(fr),
             Err(e) => fr.fail(e),
@@ -1237,15 +1308,13 @@ fn build_kernel(
                     buf[i] = rdop!(fr, *a);
                 }
                 let ProgramEnv { host, externs, .. } = &mut *fr.env;
-                let host_fn: &mut HostFn = match host.dispatch(ext, externs) {
-                    Ok(h) => h,
-                    Err(e) => return fr.fail(e),
-                };
-                let cost = if host_fn.cost.is_zero() { extern_default } else { host_fn.cost };
-                fr.sink.compute(cost);
-                let v = (host_fn.call)(&buf[..args.len()]);
-                fr.wr(dst, v);
-                next(fr)
+                match host.call(ext, externs, &buf[..args.len()], extern_default, fr.sink) {
+                    Ok(v) => {
+                        fr.wr(dst, v);
+                        next(fr)
+                    }
+                    Err(e) => fr.fail(e),
+                }
             })
         }
         MOp::NewObj { dst, class } => kch(ch, node_cost, move |fr| {
@@ -1329,7 +1398,7 @@ impl NativeExec<'_> {
         args: &[Value],
     ) -> Result<Value, RuntimeError> {
         let f = &self.module.funcs[func];
-        debug_assert_eq!(args.len(), f.num_params, "arity of `{}`", f.name);
+        check_args(&f.name, f.local_defaults[..f.num_params].iter().copied(), args)?;
         self.ensure(f.num_regs);
         self.regs[..args.len()].copy_from_slice(args);
         for i in args.len()..f.local_defaults.len() {
@@ -1471,6 +1540,8 @@ mod tests {
         env.host.register("hostadd", Duration::from_nanos(100), |args| {
             Value::Double(args[0].as_double().unwrap() + args[1].as_double().unwrap())
         });
+        // Deliberately mistyped: the program declares it `double`.
+        env.host.register("badret", Duration::from_nanos(100), |_| Value::Int(7));
         env
     }
 
@@ -1577,6 +1648,39 @@ mod tests {
         assert_eq!(vm.result, nat.result);
         assert_eq!(tree.steps, nat.steps);
         assert_eq!(tree.globals, nat.globals);
+    }
+
+    /// The typed boundaries: entry arguments are checked for arity and
+    /// scalar tags, and a host result must match the extern's declared
+    /// return type. Every tier returns the same error, and none panics.
+    #[test]
+    fn entry_arguments_and_host_results_are_checked_in_every_tier() {
+        let src = "extern double badret();
+                   class cell { int v; }
+                   int inc(int n) { return n + 1; }
+                   int peek(cell c) { return c.v; }
+                   double viahost() { return badret() + 1.0; }";
+        let cases: [(&str, &[Value], &str); 5] = [
+            ("inc", &[Value::Int(1), Value::Int(2)], "`inc` expects 1 arguments, got 2"),
+            ("inc", &[], "`inc` expects 1 arguments, got 0"),
+            ("inc", &[Value::Double(1.0)], "argument 0 of `inc` is Double(1.0), expected int"),
+            (
+                "peek",
+                &[Value::Bool(true)],
+                "argument 0 of `peek` is Bool(true), expected a reference",
+            ),
+            ("viahost", &[], "extern `badret` returned Int(7), declared `double`"),
+        ];
+        for (func, args, want) in cases {
+            for (tier, o) in ["tree", "vm", "native"].iter().zip(tiers(src, func, args, 10_000)) {
+                let err = o.result.expect_err(tier);
+                assert_eq!(err.message, want, "{tier}, {func}({args:?})");
+            }
+        }
+        let [tree, vm, nat] = tiers(src, "inc", &[Value::Int(41)], 10_000);
+        assert_eq!(tree.result, Ok(Value::Int(42)));
+        assert_eq!(vm.result, tree.result);
+        assert_eq!(nat.result, tree.result);
     }
 
     /// The fused-block debit bisects exactly at the fuel boundary: for

@@ -41,7 +41,7 @@
 //! (`dynfb_sim::runtime` inserts them between iterations); no code the
 //! lowering sees contains them, so the ISA carries no barrier instruction.
 
-use crate::interp::{binary_op, CostModel, HostFn, ProgramEnv, RuntimeError, Value};
+use crate::interp::{binary_op, check_args, unary_op, CostModel, ProgramEnv, RuntimeError, Value};
 use dynfb_lang::hir::{BinOp, Expr, ExprKind, Function, Place, Stmt, Ty, UnOp};
 use dynfb_sim::{LockId, OpSink};
 
@@ -69,6 +69,37 @@ pub type Reg = u16;
 
 /// Sentinel register meaning "no receiver" in [`Insn::Call`].
 pub(crate) const NO_REG: Reg = Reg::MAX;
+
+/// The sema-resolved type of an operator's operand, carried into the
+/// bytecode so the native tier can select a typed kernel. Sema coerces
+/// both sides of a binary operator to one type, so the left operand's
+/// type stands for both. The bytecode interpreter ignores it and
+/// dispatches on value tags, as the tree-walker does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpTy {
+    /// `int`.
+    Int,
+    /// `double`.
+    Double,
+    /// `bool`.
+    Bool,
+    /// Object, array, or `null` (and `void`, which only `==`/`!=` on two
+    /// void calls can produce).
+    Ref,
+}
+
+impl OpTy {
+    /// The operand class of a sema type.
+    #[must_use]
+    pub fn of(ty: &Ty) -> OpTy {
+        match ty {
+            Ty::Int => OpTy::Int,
+            Ty::Double => OpTy::Double,
+            Ty::Bool => OpTy::Bool,
+            _ => OpTy::Ref,
+        }
+    }
+}
 
 /// One bytecode instruction.
 ///
@@ -101,10 +132,11 @@ pub enum Insn {
     IndexSet { arr: Reg, idx: Reg, src: Reg },
     /// `arr.length`.
     ArrayLen { dst: Reg, arr: Reg },
-    /// Binary operator (no short-circuit: both operands are registers).
-    Binary { dst: Reg, op: BinOp, lhs: Reg, rhs: Reg },
-    /// Unary operator.
-    Unary { dst: Reg, op: UnOp, src: Reg },
+    /// Binary operator (no short-circuit: both operands are registers) on
+    /// operands of type `ty`.
+    Binary { dst: Reg, op: BinOp, ty: OpTy, lhs: Reg, rhs: Reg },
+    /// Unary operator on an operand of type `ty`.
+    Unary { dst: Reg, op: UnOp, ty: OpTy, src: Reg },
     /// Integer → double coercion.
     IntToDouble { dst: Reg, src: Reg },
     /// Error unless the register holds an `Int` (loop-bound checks).
@@ -390,7 +422,13 @@ impl Lowerer {
                 let head = self.label();
                 // The bound check is free (the tree-walker charges only
                 // once per executed iteration, before the body).
-                self.code.push(Insn::Binary { dst: rt, op: BinOp::Lt, lhs: ri, rhs: rb });
+                self.code.push(Insn::Binary {
+                    dst: rt,
+                    op: BinOp::Lt,
+                    ty: OpTy::Int,
+                    lhs: ri,
+                    rhs: rb,
+                });
                 let to_exit = self.jump_if_false_fwd(rt);
                 self.pending += 1; // per-iteration charge.
                 let var_reg = Reg::try_from(var.0).expect("local fits register file");
@@ -399,7 +437,13 @@ impl Lowerer {
                     self.stmt(s);
                 }
                 self.flush();
-                self.code.push(Insn::Binary { dst: ri, op: BinOp::Add, lhs: ri, rhs: rone });
+                self.code.push(Insn::Binary {
+                    dst: ri,
+                    op: BinOp::Add,
+                    ty: OpTy::Int,
+                    lhs: ri,
+                    rhs: rone,
+                });
                 self.code.push(Insn::Jump { target: head });
                 self.patch(to_exit);
                 self.release_to(m);
@@ -496,14 +540,20 @@ impl Lowerer {
                 self.expr_into(lhs, tl);
                 let tr = self.temp();
                 self.expr_into(rhs, tr);
-                self.code.push(Insn::Binary { dst, op: *op, lhs: tl, rhs: tr });
+                self.code.push(Insn::Binary {
+                    dst,
+                    op: *op,
+                    ty: OpTy::of(&lhs.ty),
+                    lhs: tl,
+                    rhs: tr,
+                });
                 self.release_to(m);
             }
             ExprKind::Unary { op, expr } => {
                 let m = self.mark();
                 let t = self.temp();
                 self.expr_into(expr, t);
-                self.code.push(Insn::Unary { dst, op: *op, src: t });
+                self.code.push(Insn::Unary { dst, op: *op, ty: OpTy::of(&expr.ty), src: t });
                 self.release_to(m);
             }
             ExprKind::IntToDouble(inner) => {
@@ -618,7 +668,7 @@ impl Vm<'_> {
         args: &[Value],
     ) -> Result<Value, RuntimeError> {
         let f = &self.module.funcs[func];
-        debug_assert_eq!(args.len(), f.num_params, "arity of `{}`", f.name);
+        check_args(&f.name, f.local_defaults[..f.num_params].iter().copied(), args)?;
         self.ensure(f.num_regs);
         self.regs[..args.len()].copy_from_slice(args);
         for i in args.len()..f.local_defaults.len() {
@@ -748,23 +798,10 @@ impl Vm<'_> {
                     };
                     reg![*dst] = Value::Int(self.env.heap.arrays[id].len() as i64);
                 }
-                Insn::Binary { dst, op, lhs, rhs } => {
+                Insn::Binary { dst, op, lhs, rhs, .. } => {
                     reg![*dst] = binary_op(*op, reg![*lhs], reg![*rhs])?;
                 }
-                Insn::Unary { dst, op, src } => {
-                    let v = reg![*src];
-                    reg![*dst] = match op {
-                        UnOp::Neg => match v {
-                            Value::Int(x) => Value::Int(-x),
-                            Value::Double(x) => Value::Double(-x),
-                            _ => return Err(RuntimeError::new("negating non-number")),
-                        },
-                        UnOp::Not => match v {
-                            Value::Bool(b) => Value::Bool(!b),
-                            _ => return Err(RuntimeError::new("`!` on non-bool")),
-                        },
-                    };
-                }
+                Insn::Unary { dst, op, src, .. } => reg![*dst] = unary_op(*op, reg![*src])?,
                 Insn::IntToDouble { dst, src } => {
                     reg![*dst] = Value::Double(reg![*src].as_int()? as f64);
                 }
@@ -803,16 +840,15 @@ impl Vm<'_> {
                     reg![*dst] = v;
                 }
                 Insn::CallHost { dst, ext, base: abase, argc } => {
-                    let ProgramEnv { host, externs, .. } = &mut *self.env;
-                    let host_fn: &mut HostFn = host.dispatch(*ext as usize, externs)?;
-                    let cost = if host_fn.cost.is_zero() {
-                        self.cost.extern_default
-                    } else {
-                        host_fn.cost
-                    };
-                    self.sink.compute(cost);
                     let abase = base + usize::from(*abase);
-                    let v = (host_fn.call)(&self.regs[abase..abase + usize::from(*argc)]);
+                    let ProgramEnv { host, externs, .. } = &mut *self.env;
+                    let v = host.call(
+                        *ext as usize,
+                        externs,
+                        &self.regs[abase..abase + usize::from(*argc)],
+                        self.cost.extern_default,
+                        self.sink,
+                    )?;
                     reg![*dst] = v;
                 }
                 Insn::NewObj { dst, class } => {

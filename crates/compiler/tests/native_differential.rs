@@ -46,6 +46,7 @@ const PRELUDE: &str = "
     class cell {
         int a;
         double b;
+        bool f;
         void bump(int n) { this.a += n; gi = gi + 1; }
         void scale(double f) { this.b = this.b * f + 1.0; gd += f; }
         int get() { return this.a; }
@@ -54,6 +55,9 @@ const PRELUDE: &str = "
         int acc = n;
         int j = 0;
         double x = 1.5;
+        double z = 0.0;
+        bool p = false;
+        bool q = true;
         cell c = new cell();
         cell nullc = null;
         cell[] cells = new cell[4];
@@ -62,15 +66,18 @@ const PRELUDE: &str = "
 
 /// Append 3–8 random statements drawn from templates that exercise every
 /// instruction class — including patterns the native optimizer folds
-/// (constant conditions, copy chains, dead accumulator writes) and
-/// low-probability error paths.
+/// (constant conditions, copy chains, dead accumulator writes), the edge
+/// cases of the typed int/double kernels, and low-probability error paths.
+/// NaN never reaches a global, field or the result: `Value` equality would
+/// report two agreeing NaNs as a mismatch.
 fn gen_program(rng: &mut SplitMix64) -> String {
     let mut src = String::from(PRELUDE);
     let n_stmts = 3 + rng.gen_index(6);
     for _ in 0..n_stmts {
         let k = 1 + rng.gen_range_i64(0, 9);
         let m = 2 + rng.gen_range_i64(0, 12);
-        let stmt = match rng.gen_index(12) {
+        let idx = rng.gen_index(4);
+        let stmt = match rng.gen_index(17) {
             0 => format!("acc = acc + {k};\n"),
             1 => format!(
                 "for (int i = 0; i < {m}; i++) {{ acc += i * {k}; cells[i % 4].bump(i); }}\n"
@@ -90,7 +97,39 @@ fn gen_program(rng: &mut SplitMix64) -> String {
             // Errors iff `acc % {m}` happens to be zero here.
             10 => format!("acc = {k} + acc / (acc % {m});\n"),
             // Errors iff the guard happens to hold.
-            _ => format!("if (acc > {}) {{ acc = nullc.get(); }}\n", 40 + k * 7),
+            11 => format!("if (acc > {}) {{ acc = nullc.get(); }}\n", 40 + k * 7),
+            // NaN comparisons, from a folded constant and from a register,
+            // and the signed zeros.
+            12 => format!(
+                "z = 0.0 / 0.0; p = z < x || z >= x; q = z == z;
+                 if (!p && !q) {{ acc = acc + {k}; }}
+                 z = (x - x) / 0.0; if (z != z && !(z <= x) && !(z > x)) {{ acc = acc + 1; }}
+                 z = -0.0; if (z == 0.0 && !(z < 0.0)) {{ acc = acc + {m}; }}
+                 z = x * -0.0; p = z != 0.0; z = 0.0;\n"
+            ),
+            // i64 wrapping at the edge: `+`, `*` and `-` past i64::MAX.
+            13 => format!(
+                "j = acc + 9223372036854775807; p = j < acc;
+                 j = j * {k} - 9223372036854775807;
+                 if (p || j >= 9223372036854775806) {{ acc = acc + j % 7; }} j = 0;\n"
+            ),
+            // Comparison results in bool locals and fields, combined.
+            14 => format!(
+                "p = x > 1.0; c.f = acc >= {k}; q = p && c.f || !p;
+                 if (q || c.f && p) {{ acc = acc + 1; }} cells[{idx}].f = q != p;\n"
+            ),
+            // Mixed int/double arithmetic through sema's int-to-double
+            // coercions.
+            15 => format!(
+                "x = x + acc / 2 * 0.5 - j; if (acc < x || acc * 1.5 >= x + {k}) {{ acc = acc + 2; }}
+                 gd = gd + acc / {k}.0;\n"
+            ),
+            // `==`/`!=` on doubles and on references, `null` included.
+            _ => format!(
+                "if (x == 1.5 || x != x + 0.0) {{ acc = acc + 3; }}
+                 if (c != null && nullc == null && cells[{idx}] != c) {{ acc = acc + 1; }}
+                 p = c == cells[{idx}] || null != nullc; if (p) {{ acc = acc - 1; }}\n"
+            ),
         };
         src.push_str(&stmt);
     }
