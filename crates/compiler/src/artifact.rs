@@ -11,10 +11,14 @@
 //!    lock placement);
 //! 5. synchronization optimization under each policy (*Original*,
 //!    *Bounded*, *Aggressive*, §3), producing one code version per policy;
-//! 6. multi-version packaging: versions of a section whose generated code
-//!    is identical are shared (the paper's closed-subgraph sharing keeps
-//!    the Table 1 code growth small), plus an unsynchronized *serial*
-//!    version of everything.
+//! 6. multi-version packaging: policies whose generated code for a
+//!    section is identical share one version (the paper's closed-subgraph
+//!    sharing keeps the Table 1 code growth small), plus an
+//!    unsynchronized *serial* version of everything. Identity is decided
+//!    on the HIR ([`VersionIdentity`]) before anything is built, so each
+//!    distinct version is lowered and compiled once, and its native code
+//!    reuses every function the serial build or an earlier version
+//!    already compiled the same way.
 //!
 //! The result, [`CompiledApp`], implements `dynfb_sim`'s [`SimApp`], so a
 //! compiled program runs directly on the simulated multiprocessor under
@@ -25,10 +29,10 @@ use crate::commutativity::{analyze_extent, CommutativityReport};
 use crate::effects::EffectsMap;
 use crate::interp::{CostModel, Heap, HostRegistry, Interp, ProgramEnv, Value};
 use crate::lockplace::insert_default_regions;
-use crate::native::{compile_native, NativeExec, NativeModule};
+use crate::native::{compile_native, compile_native_reusing, NativeExec, NativeModule};
 use crate::syncopt::{optimize, FnSet, Policy};
 use crate::vm::{lower_body, lower_functions, ExecTier, Vm, VmModule};
-use dynfb_lang::hir::{body_size, Expr, Function, Hir, LocalId, Stmt, Ty};
+use dynfb_lang::hir::{body_size, Expr, ExprKind, FuncId, Function, Hir, LocalId, Place, Stmt, Ty};
 use dynfb_sim::{LockId, Machine, OpSink, PlanEntry, SectionKind, SimApp};
 use std::collections::HashMap;
 use std::fmt;
@@ -237,52 +241,189 @@ impl VersionCode {
     /// Functions reachable from the loop body, with indices.
     #[must_use]
     pub fn reachable_functions(&self) -> Vec<(usize, &Function)> {
-        let mut roots = Vec::new();
-        crate::callgraph::collect_calls_stmts(&self.body, &mut roots);
-        let mut seen = vec![false; self.functions.len()];
-        let mut stack: Vec<usize> = roots.iter().map(|f| f.0).collect();
-        let mut out = Vec::new();
-        while let Some(i) = stack.pop() {
-            if i >= seen.len() || seen[i] {
-                continue;
-            }
-            seen[i] = true;
-            out.push(i);
-            let mut calls = Vec::new();
-            crate::callgraph::collect_calls_stmts(&self.functions[i].body, &mut calls);
-            stack.extend(calls.iter().map(|f| f.0));
+        reachable(&self.functions, &self.body)
+            .into_iter()
+            .map(|i| (i, &self.functions[i]))
+            .collect()
+    }
+}
+
+/// Indices of the functions in `funcs` reachable from `body`, ascending.
+fn reachable(funcs: &[Function], body: &[Stmt]) -> Vec<usize> {
+    let mut calls = Vec::new();
+    crate::callgraph::collect_calls_stmts(body, &mut calls);
+    let mut seen = vec![false; funcs.len()];
+    let mut stack: Vec<usize> = calls.iter().map(|f| f.0).collect();
+    let mut out = Vec::new();
+    while let Some(i) = stack.pop() {
+        if i >= seen.len() || seen[i] {
+            continue;
         }
-        out.sort_unstable();
-        out.into_iter().map(|i| (i, &self.functions[i])).collect()
+        seen[i] = true;
+        out.push(i);
+        calls.clear();
+        crate::callgraph::collect_calls_stmts(&funcs[i].body, &mut calls);
+        stack.extend(calls.iter().map(|f| f.0));
+    }
+    out.sort_unstable();
+    out
+}
+
+/// The identity of one candidate version of a parallel section: its loop
+/// body plus every function the body reaches, taken by name order. Two
+/// candidates are the same version when these compare equal structurally,
+/// with each call compared by its callee's *name* (clones of one function
+/// sit at different indices in different policies' tables) and double
+/// literals compared as their `Debug` text (`-0.0` differs from `0.0`; all
+/// NaNs are alike). `compile` decides identity before building anything,
+/// so policies that generate the same code are lowered and compiled once.
+pub struct VersionIdentity<'a> {
+    funcs: &'a [Function],
+    body: &'a [Stmt],
+    /// Reachable function indices, sorted by name (ties by index).
+    by_name: Vec<usize>,
+}
+
+impl<'a> VersionIdentity<'a> {
+    /// The identity of loop body `body` over function table `funcs`.
+    #[must_use]
+    pub fn new(funcs: &'a [Function], body: &'a [Stmt]) -> Self {
+        let mut by_name = reachable(funcs, body);
+        by_name.sort_by(|&a, &b| funcs[a].name.cmp(&funcs[b].name));
+        VersionIdentity { funcs, body, by_name }
+    }
+}
+
+impl PartialEq for VersionIdentity<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let same = SameCode { a: self.funcs, b: other.funcs };
+        self.by_name.len() == other.by_name.len()
+            && same.stmts(self.body, other.body)
+            && self.by_name.iter().zip(&other.by_name).all(|(&i, &j)| {
+                let (f, g) = (&self.funcs[i], &other.funcs[j]);
+                f.name == g.name && same.stmts(&f.body, &g.body)
+            })
+    }
+}
+
+/// Structural equality of HIR code from two function tables: callees
+/// compare by name, doubles by `Debug` text, everything else exactly.
+struct SameCode<'a> {
+    a: &'a [Function],
+    b: &'a [Function],
+}
+
+impl SameCode<'_> {
+    fn stmts(&self, x: &[Stmt], y: &[Stmt]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(s, t)| self.stmt(s, t))
     }
 
-    /// A canonical structural fingerprint, stable across differing clone
-    /// indices, used to detect when two policies generate identical code.
-    #[must_use]
-    pub fn fingerprint(&self) -> String {
-        let mut names: HashMap<usize, String> = HashMap::new();
-        for (i, f) in self.reachable_functions() {
-            names.insert(i, f.name.clone());
-        }
-        let render = |s: &dyn fmt::Debug| -> String {
-            let mut text = format!("{s:?}");
-            // Longest ids first so `FuncId(1)` never clobbers `FuncId(12)`.
-            let mut ids: Vec<&usize> = names.keys().collect();
-            ids.sort_by_key(|i| std::cmp::Reverse(i.to_string().len()));
-            for i in ids {
-                text = text.replace(&format!("FuncId({i})"), &format!("Fn<{}>", names[i]));
-            }
-            text
-        };
-        let mut out = render(&self.body);
-        let mut fns = self.reachable_functions();
-        fns.sort_by(|a, b| a.1.name.cmp(&b.1.name));
-        for (_, f) in fns {
-            out.push_str(&f.name);
-            out.push_str(&render(&f.body));
-        }
-        out
+    fn exprs(&self, x: &[Expr], y: &[Expr]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(e, f)| self.expr(e, f))
     }
+
+    fn callee(&self, f: FuncId, g: FuncId) -> bool {
+        self.a[f.0].name == self.b[g.0].name
+    }
+
+    fn stmt(&self, x: &Stmt, y: &Stmt) -> bool {
+        match (x, y) {
+            (Stmt::Assign { place: p, value: v }, Stmt::Assign { place: q, value: w }) => {
+                self.place(p, q) && self.expr(v, w)
+            }
+            (
+                Stmt::If { cond: c, then_branch: t, else_branch: e },
+                Stmt::If { cond: d, then_branch: u, else_branch: f },
+            ) => self.expr(c, d) && self.stmts(t, u) && self.stmts(e, f),
+            (Stmt::While { cond: c, body: b }, Stmt::While { cond: d, body: e }) => {
+                self.expr(c, d) && self.stmts(b, e)
+            }
+            (
+                Stmt::CountedFor { var: v, start: s, bound: n, body: b },
+                Stmt::CountedFor { var: w, start: t, bound: m, body: e },
+            ) => v == w && self.expr(s, t) && self.expr(n, m) && self.stmts(b, e),
+            (Stmt::Return(e), Stmt::Return(f)) => match (e, f) {
+                (Some(e), Some(f)) => self.expr(e, f),
+                (e, f) => e.is_none() && f.is_none(),
+            },
+            (Stmt::Expr(e), Stmt::Expr(f)) => self.expr(e, f),
+            (
+                Stmt::Critical { lock_obj: o, body: b, regions: r },
+                Stmt::Critical { lock_obj: p, body: e, regions: s },
+            ) => r == s && self.expr(o, p) && self.stmts(b, e),
+            _ => false,
+        }
+    }
+
+    fn place(&self, x: &Place, y: &Place) -> bool {
+        match (x, y) {
+            (Place::Local(l), Place::Local(m)) => l == m,
+            (Place::Global(g), Place::Global(h)) => g == h,
+            (
+                Place::Field { obj: o, class: c, field: f },
+                Place::Field { obj: p, class: d, field: g },
+            ) => c == d && f == g && self.expr(o, p),
+            (Place::Index { arr: a, idx: i }, Place::Index { arr: b, idx: j }) => {
+                self.expr(a, b) && self.expr(i, j)
+            }
+            _ => false,
+        }
+    }
+
+    fn expr(&self, x: &Expr, y: &Expr) -> bool {
+        use ExprKind as K;
+        x.ty == y.ty
+            && match (&x.kind, &y.kind) {
+                (K::Int(a), K::Int(b)) => a == b,
+                // `Debug` prints distinct values distinctly (so `-0.0` is
+                // not `0.0`) and every NaN as `NaN`.
+                (K::Double(a), K::Double(b)) => {
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+                }
+                (K::Bool(a), K::Bool(b)) => a == b,
+                (K::Null, K::Null) | (K::This, K::This) => true,
+                (K::Local(a), K::Local(b)) => a == b,
+                (K::Global(a), K::Global(b)) => a == b,
+                (
+                    K::FieldGet { obj: o, class: c, field: f },
+                    K::FieldGet { obj: p, class: d, field: g },
+                ) => c == d && f == g && self.expr(o, p),
+                (K::Index { arr: a, idx: i }, K::Index { arr: b, idx: j }) => {
+                    self.expr(a, b) && self.expr(i, j)
+                }
+                (K::ArrayLen(a), K::ArrayLen(b)) => self.expr(a, b),
+                (K::Binary { op: o, lhs: l, rhs: r }, K::Binary { op: p, lhs: m, rhs: s }) => {
+                    o == p && self.expr(l, m) && self.expr(r, s)
+                }
+                (K::Unary { op: o, expr: e }, K::Unary { op: p, expr: f }) => {
+                    o == p && self.expr(e, f)
+                }
+                (K::IntToDouble(e), K::IntToDouble(f)) => self.expr(e, f),
+                (K::CallFn { func: f, args: a }, K::CallFn { func: g, args: b }) => {
+                    self.callee(*f, *g) && self.exprs(a, b)
+                }
+                (
+                    K::CallMethod { obj: o, func: f, args: a },
+                    K::CallMethod { obj: p, func: g, args: b },
+                ) => self.callee(*f, *g) && self.expr(o, p) && self.exprs(a, b),
+                (K::CallExtern { ext: e, args: a }, K::CallExtern { ext: f, args: b }) => {
+                    e == f && self.exprs(a, b)
+                }
+                (K::New { class: c }, K::New { class: d }) => c == d,
+                (K::NewArray { elem: t, len: l }, K::NewArray { elem: u, len: m }) => {
+                    t == u && self.expr(l, m)
+                }
+                _ => false,
+            }
+    }
+}
+
+/// The counted loop a validated parallel section consists of.
+fn section_loop(f: &Function) -> (LocalId, &Expr, &Expr, &[Stmt]) {
+    let [Stmt::CountedFor { var, start, bound, body }] = f.body.as_slice() else {
+        unreachable!("validated at compile time; policies preserve the loop shape");
+    };
+    (*var, start, bound, body)
 }
 
 /// Code of one parallel section: all distinct versions plus the serial one.
@@ -433,80 +574,110 @@ pub fn compile(
         policy_sets.push((policy, set));
     }
 
-    // Assemble section codes with version deduplication.
+    // Serial code first: the versions reuse the compiled code of every
+    // function their policy left unchanged.
     let cost = options.cost;
-    let mut sections = HashMap::new();
-    for (name, func) in &parallel_sections {
-        let extract = |funcs: &[Function]| -> VersionCode {
-            let f = &funcs[*func];
-            let [Stmt::CountedFor { var, start, bound, body }] = f.body.as_slice() else {
-                unreachable!("validated above; policies preserve the loop shape");
-            };
-            let locals_ty: Vec<Ty> = f.locals.iter().map(|l| l.ty.clone()).collect();
-            let mut module = lower_functions(funcs);
-            let body_fn = module.funcs.len();
-            module.funcs.push(lower_body("$body", body, &locals_ty));
-            let native = compile_native(&module, &cost);
-            let mut vc = VersionCode {
-                name: String::new(),
-                functions: funcs.to_vec(),
-                var: *var,
-                start: start.clone(),
-                bound: bound.clone(),
-                body: body.clone(),
-                locals_ty,
-                vm: VmCode { module, body_fn, native },
-                regions: Vec::new(),
-            };
-            // Region provenance: every critical region reachable from the
-            // loop body, grouped by lock class. `reachable_functions` is
-            // index-sorted, so collection order is deterministic.
-            let mut regions = Vec::new();
-            let mut visited = collect_regions(&vc.body, &hir.classes, &mut regions);
-            let mut counted = crate::syncopt::count_regions(&vc.body);
-            for (_, f) in vc.reachable_functions() {
-                visited += collect_regions(&f.body, &hir.classes, &mut regions);
-                counted += crate::syncopt::count_regions(&f.body);
-            }
-            // The provenance walker and `syncopt::count_regions` traverse
-            // independently; if a new statement form reaches only one of
-            // them, per-region metrics would silently drop regions.
-            assert_eq!(
-                visited, counted,
-                "region provenance walker disagrees with count_regions \
-                 (section `{}`): {visited} visited vs {counted} counted",
-                f.name
-            );
-            vc.regions = regions;
-            vc
-        };
-        let mut versions: Vec<VersionCode> = Vec::new();
-        for (policy, set) in &policy_sets {
-            let mut vc = extract(&set.functions);
-            vc.name = policy.name();
-            let fp = vc.fingerprint();
-            if let Some(existing) = versions.iter_mut().find(|v| v.fingerprint() == fp) {
-                existing.name = format!("{}+{}", existing.name, policy.name());
-            } else {
-                versions.push(vc);
-            }
-        }
-        let mut serial = extract(&hir.functions);
-        serial.name = "serial".to_string();
-        sections.insert(
-            name.clone(),
-            SectionCode {
-                name: name.clone(),
-                versions,
-                serial,
-                report: reports.remove(name).expect("analyzed"),
-            },
-        );
-    }
-
-    let globals = hir.globals.iter().map(|g| Value::default_for(&g.ty)).collect();
     let vm_serial = lower_functions(&hir.functions);
     let native_serial = compile_native(&vm_serial, &cost);
+    let build = |vname: String,
+                 func: usize,
+                 funcs: &[Function],
+                 mut module: VmModule,
+                 bases: &[(&VmModule, &NativeModule)]|
+     -> VersionCode {
+        let f = &funcs[func];
+        let (var, start, bound, body) = section_loop(f);
+        let locals_ty: Vec<Ty> = f.locals.iter().map(|l| l.ty.clone()).collect();
+        let body_fn = module.funcs.len();
+        module.funcs.push(lower_body("$body", body, &locals_ty));
+        let native = compile_native_reusing(&module, &cost, bases);
+        let mut vc = VersionCode {
+            name: vname,
+            functions: funcs.to_vec(),
+            var,
+            start: start.clone(),
+            bound: bound.clone(),
+            body: body.to_vec(),
+            locals_ty,
+            vm: VmCode { module, body_fn, native },
+            regions: Vec::new(),
+        };
+        // Region provenance: every critical region reachable from the
+        // loop body, grouped by lock class. `reachable_functions` is
+        // index-sorted, so collection order is deterministic.
+        let mut regions = Vec::new();
+        let mut visited = collect_regions(&vc.body, &hir.classes, &mut regions);
+        let mut counted = crate::syncopt::count_regions(&vc.body);
+        for (_, f) in vc.reachable_functions() {
+            visited += collect_regions(&f.body, &hir.classes, &mut regions);
+            counted += crate::syncopt::count_regions(&f.body);
+        }
+        // The provenance walker and `syncopt::count_regions` traverse
+        // independently; if a new statement form reaches only one of
+        // them, per-region metrics would silently drop regions.
+        assert_eq!(
+            visited, counted,
+            "region provenance walker disagrees with count_regions \
+             (section `{}`): {visited} visited vs {counted} counted",
+            f.name
+        );
+        vc.regions = regions;
+        vc
+    };
+
+    // Assemble section codes. Version identity is decided on the HIR,
+    // before anything is built: a policy generating the same code as an
+    // earlier one only joins that version's name. Each version is then
+    // lowered once, and compiled reusing the serial build and every
+    // version built before it (in Water, both sections' versions of one
+    // policy share all but their loop bodies).
+    let mut built: Vec<(Vec<VersionCode>, VersionCode)> = Vec::new();
+    for (_, func) in &parallel_sections {
+        let mut kept: Vec<(VersionIdentity<'_>, String)> = Vec::new();
+        for (policy, set) in &policy_sets {
+            let id = VersionIdentity::new(&set.functions, section_loop(&set.functions[*func]).3);
+            match kept.iter_mut().find(|(k, _)| *k == id) {
+                Some((_, vname)) => {
+                    vname.push('+');
+                    vname.push_str(&policy.name());
+                }
+                None => kept.push((id, policy.name())),
+            }
+        }
+        let mut versions: Vec<VersionCode> = Vec::new();
+        for (id, vname) in kept {
+            let bases: Vec<(&VmModule, &NativeModule)> =
+                std::iter::once((&vm_serial, &*native_serial))
+                    .chain(
+                        built
+                            .iter()
+                            .flat_map(|(vs, _)| vs)
+                            .chain(&versions)
+                            .map(|v| (&v.vm.module, &*v.vm.native)),
+                    )
+                    .collect();
+            let vc = build(vname, *func, id.funcs, lower_functions(id.funcs), &bases);
+            versions.push(vc);
+        }
+        let serial = build(
+            "serial".to_string(),
+            *func,
+            &hir.functions,
+            vm_serial.clone(),
+            &[(&vm_serial, &*native_serial)],
+        );
+        built.push((versions, serial));
+    }
+    let sections = parallel_sections
+        .iter()
+        .zip(built)
+        .map(|((name, _), (versions, serial))| {
+            let report = reports.remove(name).expect("analyzed");
+            (name.clone(), SectionCode { name: name.clone(), versions, serial, report })
+        })
+        .collect();
+
+    let globals = hir.globals.iter().map(|g| Value::default_for(&g.ty)).collect();
     Ok(CompiledApp {
         name: options.name,
         plan: options.plan,

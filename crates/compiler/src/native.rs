@@ -525,18 +525,45 @@ struct NativeBlock {
 }
 
 /// A natively compiled function: its basic blocks as fused closures.
+#[derive(Clone)]
 pub struct NativeFunc {
     name: String,
     num_params: usize,
     local_defaults: Vec<Value>,
     num_regs: usize,
-    blocks: Vec<NativeBlock>,
+    /// The compiled blocks, shared by every module that reuses this
+    /// function's code (see [`compile_native_reusing`]). The table sits
+    /// behind one `Arc` inside an inline `NativeFunc`, so a call costs no
+    /// more pointer hops than with an owned table.
+    blocks: Arc<[NativeBlock]>,
 }
 
 /// A natively compiled function table. Indices match the source
 /// [`VmModule`], so `FuncId`s translate directly.
 pub struct NativeModule {
     funcs: Vec<NativeFunc>,
+    /// The cost model baked into the kernels' charges.
+    cost: CostModel,
+}
+
+impl NativeModule {
+    /// Number of functions (the source module's length).
+    #[must_use]
+    pub fn num_funcs(&self) -> usize {
+        self.funcs.len()
+    }
+
+    /// Whether function `i` of `self` and function `j` of `other` run the
+    /// same compiled block table (one was reused for the other, or both
+    /// from a common base).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    #[must_use]
+    pub fn shares_code(&self, i: usize, other: &NativeModule, j: usize) -> bool {
+        Arc::ptr_eq(&self.funcs[i].blocks, &other.funcs[j].blocks)
+    }
 }
 
 impl fmt::Debug for NativeModule {
@@ -567,8 +594,93 @@ fn fuel_exhausted() -> RuntimeError {
 /// time.
 #[must_use]
 pub fn compile_native(module: &VmModule, cost: &CostModel) -> Arc<NativeModule> {
-    let funcs = module.funcs.iter().map(|f| compile_func(f, module, cost)).collect();
-    Arc::new(NativeModule { funcs })
+    compile_native_reusing(module, cost, &[])
+}
+
+/// Compile `module`, reusing compiled code from `bases` (pairs of a
+/// source module and its compiled form) for every function that would
+/// compile to the same closures: the function at the same index is
+/// identical in both sources, and every callee it names has the same name
+/// and arity in both. The first
+/// matching base wins; everything else is compiled afresh, so the result
+/// runs exactly like [`compile_native`]`(module, cost)`.
+///
+/// A multi-version build compiles its serial module first and every
+/// policy version against it and the versions before it, so each distinct
+/// function is compiled once.
+///
+/// # Panics
+///
+/// Panics when a base was compiled under another cost model, and under
+/// the conditions of [`compile_native`].
+#[must_use]
+pub fn compile_native_reusing(
+    module: &VmModule,
+    cost: &CostModel,
+    bases: &[(&VmModule, &NativeModule)],
+) -> Arc<NativeModule> {
+    for (src, base) in bases {
+        assert_eq!(src.funcs.len(), base.funcs.len(), "a base is a module and its compiled form");
+        assert_eq!(base.cost, *cost, "reused kernels must charge the same cost model");
+    }
+    let funcs = module
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(i, f)| match bases.iter().find(|(src, _)| same_compiled_code(module, src, i)) {
+            Some((_, base)) => base.funcs[i].clone(),
+            None => compile_func(f, module, cost),
+        })
+        .collect();
+    Arc::new(NativeModule { funcs, cost: *cost })
+}
+
+/// Whether function `i` compiles to the same closures in `a` as in `b`.
+/// The lowered functions must be identical (constants compared by bits, so
+/// `-0.0` differs from `0.0`), and every `Call`/`CheckRecv` target must
+/// have the same name and arity in both modules: the closures embed the
+/// callee's arity (argument gathering) and name (null-receiver message).
+fn same_compiled_code(a: &VmModule, b: &VmModule, i: usize) -> bool {
+    let (Some(f), Some(g)) = (a.funcs.get(i), b.funcs.get(i)) else {
+        return false;
+    };
+    let same_callee = |func: u32| match (a.funcs.get(func as usize), b.funcs.get(func as usize)) {
+        (Some(x), Some(y)) => x.name == y.name && x.num_params == y.num_params,
+        _ => false,
+    };
+    f.name == g.name
+        && f.num_params == g.num_params
+        && f.num_regs == g.num_regs
+        && f.local_defaults.len() == g.local_defaults.len()
+        && f.local_defaults.iter().zip(&g.local_defaults).all(|(x, y)| same_value(*x, *y))
+        && f.code.len() == g.code.len()
+        && f.code.iter().zip(&g.code).all(|(x, y)| {
+            same_insn(x, y)
+                && match x {
+                    Insn::Call { func, .. } | Insn::CheckRecv { func, .. } => same_callee(*func),
+                    _ => true,
+                }
+        })
+}
+
+/// Instruction equality with constants compared by bits. `Const` and
+/// `NewArr` are the only instructions that carry a [`Value`].
+fn same_insn(a: &Insn, b: &Insn) -> bool {
+    match (a, b) {
+        (Insn::Const { dst, v }, Insn::Const { dst: d, v: w }) => dst == d && same_value(*v, *w),
+        (Insn::NewArr { dst, len, default }, Insn::NewArr { dst: d, len: l, default: w }) => {
+            dst == d && len == l && same_value(*default, *w)
+        }
+        _ => a == b,
+    }
+}
+
+/// Value equality with doubles compared by bits.
+fn same_value(a: Value, b: Value) -> bool {
+    match (a, b) {
+        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
 }
 
 /// Boxing helper with an optional fused charge prologue: when `ch` is
@@ -874,7 +986,7 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
         num_params: f.num_params,
         local_defaults: f.local_defaults.clone(),
         num_regs,
-        blocks,
+        blocks: blocks.into(),
     }
 }
 
@@ -1527,6 +1639,7 @@ mod tests {
     use crate::interp::{Heap, HostRegistry, Interp};
     use crate::vm::{lower_functions, Vm};
     use dynfb_lang::compile_source;
+    use dynfb_lang::hir::{ExprKind, Stmt, Ty};
     use dynfb_sim::Step;
 
     fn env_for(hir: &dynfb_lang::hir::Hir) -> ProgramEnv {
@@ -1613,6 +1726,117 @@ mod tests {
             Outcome { result, steps: sink.into_steps().into_iter().collect(), globals: env.globals }
         };
         [tree, vm, nat]
+    }
+
+    /// Run `func` of `hir` on the tree tier and on `native` (compiled from
+    /// `hir`'s functions).
+    fn tree_and_native(
+        hir: &dynfb_lang::hir::Hir,
+        native: &NativeModule,
+        func: &str,
+    ) -> [Result<Value, RuntimeError>; 2] {
+        let f = hir.function_named(func).expect("function").0;
+        let base = lock_base(16);
+        let mut env = env_for(hir);
+        let mut sink = OpSink::default();
+        let tree = Interp {
+            env: &mut env,
+            funcs: &hir.functions,
+            cost: CostModel::default(),
+            sink: &mut sink,
+            lock_base: base,
+            lock_capacity: 16,
+            fuel: 10_000,
+        }
+        .call(f, None, vec![]);
+        let mut env = env_for(hir);
+        let mut regs = Vec::new();
+        let nat = NativeExec {
+            env: &mut env,
+            module: native,
+            sink: &mut sink,
+            lock_base: base,
+            lock_capacity: 16,
+            fuel: 10_000,
+            regs: &mut regs,
+        }
+        .call(f, None, &[]);
+        [tree, nat]
+    }
+
+    /// Compile `base` fresh and `changed` reusing it; return the compiled
+    /// base and the reusing build.
+    fn reuse_build(
+        base: &dynfb_lang::hir::Hir,
+        changed: &dynfb_lang::hir::Hir,
+    ) -> (Arc<NativeModule>, Arc<NativeModule>) {
+        let cost = CostModel::default();
+        let base_vm = lower_functions(&base.functions);
+        let base_native = compile_native(&base_vm, &cost);
+        let vm = lower_functions(&changed.functions);
+        let native = compile_native_reusing(&vm, &cost, &[(&base_vm, &base_native)]);
+        (base_native, native)
+    }
+
+    /// A function differing only in a `-0.0` for a `0.0` constant gets its
+    /// own code: the constants compare equal as values but fold to
+    /// opposite infinities.
+    #[test]
+    fn reuse_compares_constants_by_bits() {
+        let base =
+            compile_source("double f() { return 1.0 / 0.0; } double g() { return 2.0; }").unwrap();
+        let mut changed = base.clone();
+        let f = base.function_named("f").unwrap().0;
+        let g = base.function_named("g").unwrap().0;
+        let [Stmt::Return(Some(ret))] = changed.functions[f].body.as_mut_slice() else {
+            panic!("one return");
+        };
+        let ExprKind::Binary { rhs, .. } = &mut ret.kind else { panic!("a quotient") };
+        rhs.kind = ExprKind::Double(-0.0);
+        let (base_native, native) = reuse_build(&base, &changed);
+        assert!(!native.shares_code(f, &base_native, f));
+        assert!(native.shares_code(g, &base_native, g), "an unchanged function is reused");
+        let [tree, nat] = tree_and_native(&changed, &native, "f");
+        assert_eq!(tree, Ok(Value::Double(f64::NEG_INFINITY)));
+        assert_eq!(nat, tree);
+    }
+
+    /// A caller whose lowered code is unchanged still gets its own code when
+    /// its callee at the same index has another name (the null-receiver
+    /// message names it) or another arity (argument gathering).
+    #[test]
+    fn reuse_requires_the_same_callee_name_and_arity() {
+        // `t` widens `h`'s frame so that a two-argument window still fits.
+        let base = compile_source(
+            "class cell { int v; int bump() { return this.v; } }
+             int f() { cell c = null; return c.bump(); }
+             int g(int a) { return a; }
+             int h() { int t = 1 + (2 + (3 + (4 + 5))); return g(7); }",
+        )
+        .unwrap();
+        let f = base.function_named("f").unwrap().0;
+        let h = base.function_named("h").unwrap().0;
+        let bump = base.functions.iter().position(|x| x.name == "bump").unwrap();
+        let g = base.function_named("g").unwrap().0;
+
+        let mut renamed = base.clone();
+        renamed.functions[bump].name = "poke".to_string();
+        let (base_native, native) = reuse_build(&base, &renamed);
+        assert!(!native.shares_code(f, &base_native, f));
+        assert!(native.shares_code(h, &base_native, h), "an unaffected caller is reused");
+        let [tree, nat] = tree_and_native(&renamed, &native, "f");
+        assert_eq!(tree.as_ref().unwrap_err().message, "method `poke` on null");
+        assert_eq!(nat, tree);
+
+        let mut wider = base.clone();
+        wider.functions[g].num_params = 2;
+        wider.functions[g].locals.push(dynfb_lang::hir::Local { name: "b".into(), ty: Ty::Int });
+        let (base_native, native) = reuse_build(&base, &wider);
+        assert!(!native.shares_code(h, &base_native, h));
+        assert!(native.shares_code(f, &base_native, f), "an unaffected caller is reused");
+        let [tree, nat] = tree_and_native(&wider, &native, "h");
+        assert_eq!(tree, Ok(Value::Int(7)));
+        assert_eq!(nat, tree);
     }
 
     #[test]

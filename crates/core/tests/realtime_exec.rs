@@ -23,11 +23,23 @@ impl Toy {
     }
 }
 
+/// Lock-free work every item does besides its locking. Without it an item
+/// is almost all locking in both versions, so version 1's 16x fewer lock
+/// pairs measure as only about 2x less overhead: a margin that uneven
+/// scheduling of the workers on a loaded host can flip.
+fn item_work() {
+    let mut x = 0u64;
+    for i in 0..300 {
+        x = std::hint::black_box(x.wrapping_add(i));
+    }
+}
+
 impl AdaptiveWorkload for Toy {
     fn num_versions(&self) -> usize {
         2
     }
     fn run_item(&self, version: usize, _item: usize, ins: &Instruments) {
+        item_work();
         match version {
             0 => {
                 for _ in 0..16 {
@@ -43,12 +55,17 @@ impl AdaptiveWorkload for Toy {
 }
 
 fn exec(workers: usize) -> AdaptiveExecutor {
+    exec_intervals(workers, Duration::from_micros(200), Duration::from_millis(2))
+}
+
+/// An executor with the given target sampling and production intervals.
+fn exec_intervals(workers: usize, sampling: Duration, production: Duration) -> AdaptiveExecutor {
     AdaptiveExecutor::new(ExecutorConfig {
         workers,
         controller: ControllerConfig {
             num_policies: 2,
-            target_sampling: Duration::from_micros(200),
-            target_production: Duration::from_millis(2),
+            target_sampling: sampling,
+            target_production: production,
             ..ControllerConfig::default()
         },
         ..ExecutorConfig::default()
@@ -84,9 +101,15 @@ fn last_production_policy_reflects_the_trace() {
     assert_eq!(report.last_production_policy(), None, "{:?}", report.trace);
 
     // A long run completes production intervals, and the toy workload's
-    // version 1 (16× fewer lock pairs) must hold the most recent one.
+    // version 1 (16× fewer lock pairs) must hold the most recent one. It
+    // samples for 10 ms, not 200 µs: on a loaded host the workers may
+    // barely run during a short interval, which then reads as almost no
+    // overhead and wins the comparison. Production is kept short so that
+    // the run still completes several sampling rounds.
     let w = Toy::new();
-    let report = exec(2).run(&w, 200_000).expect("no panics");
+    let report = exec_intervals(2, Duration::from_millis(10), Duration::from_millis(20))
+        .run(&w, 300_000)
+        .expect("no panics");
     assert_eq!(report.last_production_policy(), Some(1), "{:?}", report.trace);
     let last_production = report
         .trace

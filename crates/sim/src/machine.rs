@@ -597,7 +597,9 @@ impl Machine {
                 Step::Acquire(lock) => {
                     let cost =
                         scale(config.lock_acquire_cost, faults.lock_cost_factor(lock.0, t_eff));
-                    let l = locks.get_mut(lock.0).ok_or(SimError::UnknownResource)?;
+                    let Some(l) = locks.get_mut(lock.0) else {
+                        return Err(SimError::UnknownResource);
+                    };
                     if l.holder == Some(ProcId(p)) {
                         return Err(SimError::RecursiveAcquire { proc: ProcId(p), lock });
                     }
@@ -628,7 +630,9 @@ impl Machine {
                     // worst moment). The releaser itself proceeds once its
                     // release completes; only waiters see the dead time.
                     let extra = faults.extra_hold(lock.0, t_eff);
-                    let l = locks.get_mut(lock.0).ok_or(SimError::UnknownResource)?;
+                    let Some(l) = locks.get_mut(lock.0) else {
+                        return Err(SimError::UnknownResource);
+                    };
                     if l.holder != Some(ProcId(p)) {
                         return Err(SimError::BadRelease { proc: ProcId(p), lock });
                     }
@@ -658,7 +662,9 @@ impl Machine {
                 Step::Barrier(barrier) => {
                     // Straggler faults delay this processor's arrival.
                     let arrival = t_eff + faults.barrier_delay(p, t_eff);
-                    let b = barriers.get_mut(barrier.0).ok_or(SimError::UnknownResource)?;
+                    let Some(b) = barriers.get_mut(barrier.0) else {
+                        return Err(SimError::UnknownResource);
+                    };
                     b.arrived.push((ProcId(p), arrival));
                     if b.arrived.len() >= b.participants {
                         // Release after the *latest* arrival (a delayed
