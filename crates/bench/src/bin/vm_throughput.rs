@@ -1,12 +1,12 @@
 //! Execution-tier throughput microbenchmark and perf gate.
 //!
-//! Runs barnes-hut under the execution tiers — the tree-walking oracle,
-//! the register-based bytecode VM, and the fused-closure native tier — on
-//! identical `RunConfig`s, measures host wall time (best of N repeats),
-//! and reports simulated operations per host second. Because all tiers
-//! emit bit-identical step sequences (asserted here on every run), the
-//! simulated work is the same numerator throughout, so each throughput
-//! ratio is exactly the host-time ratio.
+//! Runs barnes-hut under both execution tiers — the tree-walking oracle
+//! and the fused-closure native tier — on identical `RunConfig`s,
+//! measures host wall time (best of N repeats), and reports simulated
+//! operations per host second. Because both tiers emit bit-identical step
+//! sequences (asserted here on every run), the simulated work is the same
+//! numerator throughout, so the throughput ratio is exactly the host-time
+//! ratio.
 //!
 //! Two measurements per tier:
 //!
@@ -15,26 +15,23 @@
 //!   the tiers differ in.
 //! * **executor-only** — just the emission path (`emit_serial` /
 //!   `emit_iteration` over the plan, no event engine), which is where the
-//!   tiers actually differ. The native gates run on this measurement.
+//!   tiers actually differ.
 //!
 //! Usage: `cargo run --release -p dynfb-bench --bin vm_throughput -- \
 //!     [--tier T] [--native-tier T] [--procs N] [--bodies N] [--steps N] \
-//!     [--repeats N] [--min-ratio R] [--min-native-ratio R] \
-//!     [--min-native-vm-ratio R]`
+//!     [--repeats N] [--min-ratio R] [--min-native-ratio R]`
 //!
-//! Exits nonzero when the VM is below `--min-ratio` (default 2.0) times
-//! the tree-walker on the full run, or the native tier is below
-//! `--min-native-ratio` (default 3.5) times the tree-walker or below
-//! `--min-native-vm-ratio` (default 1.5) times the VM on the
+//! Exits nonzero when the native tier is below `--min-ratio` (default
+//! 2.0) times the tree-walker on the full run, or below
+//! `--min-native-ratio` (default 3.5) times the tree-walker on the
 //! executor-only measurement — margins below the measured ratios recorded
-//! in DESIGN.md, so the gates fail only on real regressions. Gates only
-//! apply to measured tiers; `--tier` restricts the run to one tier (no
-//! gates, no ratios). `--native-tier` substitutes the tier actually run
-//! for the "native" row — CI uses `--native-tier tree` as a negative
-//! control that must fail the gate. Host timings are scratch, never
-//! canonical: they go to the git-ignored `BENCH_TIMINGS.json` (overwriting
-//! it, like the experiments runner does), keeping `BENCH_RESULTS.json`
-//! byte-stable by construction.
+//! in DESIGN.md, so the gates fail only on real regressions. `--tier`
+//! restricts the run to one tier (no gates, no ratios). `--native-tier`
+//! substitutes the tier actually run for the "native" row — CI uses
+//! `--native-tier tree` as a negative control that must fail the gates.
+//! Host timings are scratch, never canonical: they go to the git-ignored
+//! `BENCH_TIMINGS.json` (overwriting it, like the experiments runner
+//! does), keeping `BENCH_RESULTS.json` byte-stable by construction.
 
 use dynfb_apps::barnes_hut::{barnes_hut, BarnesHutConfig};
 use dynfb_apps::machine_config;
@@ -43,18 +40,17 @@ use dynfb_sim::{run_app_ref, AppReport, Machine, OpSink, RunConfig, SectionKind,
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: vm_throughput [--tier T] [--native-tier T] [--procs N] [--bodies N] \
-[--steps N] [--repeats N] [--min-ratio R] [--min-native-ratio R] [--min-native-vm-ratio R]
+[--steps N] [--repeats N] [--min-ratio R] [--min-native-ratio R]
 
-  --tier T               measure one tier only: tree | vm | native (default: all)
+  --tier T               measure one tier only: tree | native (default: both)
   --native-tier T        tier actually run for the \"native\" row (negative-control
                          hook: --native-tier tree must fail the native gates)
   --procs N              simulated processors (default: 8)
   --bodies N             barnes-hut bodies (default: 256)
   --steps N              barnes-hut time steps (default: 2)
   --repeats N            host-timing repeats, best-of (default: 3)
-  --min-ratio R          fail unless full-run vm/tree throughput >= R (default: 2.0)
-  --min-native-ratio R   fail unless executor-only native/tree >= R (default: 3.5)
-  --min-native-vm-ratio R fail unless executor-only native/vm >= R (default: 1.5)";
+  --min-ratio R          fail unless full-run native/tree throughput >= R (default: 2.0)
+  --min-native-ratio R   fail unless executor-only native/tree >= R (default: 3.5)";
 
 struct Opts {
     tier: Option<ExecTier>,
@@ -65,13 +61,11 @@ struct Opts {
     repeats: usize,
     min_ratio: f64,
     min_native_ratio: f64,
-    min_native_vm_ratio: f64,
 }
 
 fn parse_tier(v: &str) -> Option<ExecTier> {
     match v {
         "tree" => Some(ExecTier::Tree),
-        "vm" => Some(ExecTier::Vm),
         "native" => Some(ExecTier::Native),
         _ => None,
     }
@@ -87,7 +81,6 @@ fn parse_opts() -> Opts {
         repeats: 3,
         min_ratio: 2.0,
         min_native_ratio: 3.5,
-        min_native_vm_ratio: 1.5,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -103,11 +96,11 @@ fn parse_opts() -> Opts {
         };
         match flag.as_str() {
             "--tier" => {
-                let v = value("tree|vm|native");
+                let v = value("tree|native");
                 opts.tier = Some(parse_tier(&v).unwrap_or_else(|| bad(&v)));
             }
             "--native-tier" => {
-                let v = value("tree|vm|native");
+                let v = value("tree|native");
                 opts.native_tier = Some(parse_tier(&v).unwrap_or_else(|| bad(&v)));
             }
             "--procs" => {
@@ -134,10 +127,6 @@ fn parse_opts() -> Opts {
                 let v = value("a ratio");
                 opts.min_native_ratio = v.parse().unwrap_or_else(|_| bad(&v));
             }
-            "--min-native-vm-ratio" => {
-                let v = value("a ratio");
-                opts.min_native_vm_ratio = v.parse().unwrap_or_else(|_| bad(&v));
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -155,7 +144,6 @@ fn parse_opts() -> Opts {
 fn tier_name(tier: ExecTier) -> &'static str {
     match tier {
         ExecTier::Tree => "tree",
-        ExecTier::Vm => "vm",
         ExecTier::Native => "native",
     }
 }
@@ -202,8 +190,7 @@ struct ExecDigest {
 
 /// Best-of-N host time for one tier's *emission path only*: walk the plan
 /// and call `emit_serial`/`emit_iteration` exactly as the runtime would,
-/// with no event engine. This is where the tiers differ, so the native
-/// gates run on this measurement.
+/// with no event engine. This is where the tiers differ.
 fn measure_exec(opts: &Opts, tier: ExecTier) -> (Duration, ExecDigest) {
     let bh = app_config(opts);
     let mut best = Duration::MAX;
@@ -249,7 +236,7 @@ fn main() {
 
     let tiers: Vec<ExecTier> = match opts.tier {
         Some(t) => vec![t],
-        None => vec![ExecTier::Tree, ExecTier::Vm, ExecTier::Native],
+        None => vec![ExecTier::Tree, ExecTier::Native],
     };
     let runs: Vec<(ExecTier, Duration, AppReport)> = tiers
         .iter()
@@ -266,8 +253,8 @@ fn main() {
         })
         .collect();
 
-    // The determinism contract, enforced on the real workload: every
-    // measured tier must have produced the same simulation — and the same
+    // The determinism contract, enforced on the real workload: both
+    // measured tiers must have produced the same simulation — and the same
     // emission digest on the executor-only walk.
     let (_, _, reference) = &runs[0];
     for (t, _, report) in &runs[1..] {
@@ -338,10 +325,8 @@ fn main() {
     let ratio = |base: Option<Duration>, t: Option<Duration>| -> Option<f64> {
         Some(base?.as_secs_f64() / t?.as_secs_f64())
     };
-    let vm_ratio = ratio(tree_time, time_of(ExecTier::Vm));
     let native_ratio = ratio(tree_time, time_of(ExecTier::Native));
     let exec_native_ratio = ratio(exec_tree_time, exec_time_of(ExecTier::Native));
-    let exec_native_vm_ratio = ratio(exec_time_of(ExecTier::Vm), exec_time_of(ExecTier::Native));
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"vm_throughput\",\n  \"app\": \"barnes-hut\",\n");
@@ -363,29 +348,25 @@ fn main() {
             exec_time.as_secs_f64()
         ));
     }
-    if let Some(r) = vm_ratio {
-        json.push_str(&format!("  \"vm_speedup\": {r:.3},\n"));
-    }
     if let Some(r) = native_ratio {
         json.push_str(&format!("  \"native_speedup\": {r:.3},\n"));
     }
     if let Some(r) = exec_native_ratio {
         json.push_str(&format!("  \"native_exec_speedup\": {r:.3},\n"));
     }
-    if let Some(r) = exec_native_vm_ratio {
-        json.push_str(&format!("  \"native_exec_vs_vm\": {r:.3},\n"));
-    }
     json.push_str(&format!("  \"min_ratio\": {:.3},\n", opts.min_ratio));
-    json.push_str(&format!("  \"min_native_ratio\": {:.3},\n", opts.min_native_ratio));
-    json.push_str(&format!("  \"min_native_vm_ratio\": {:.3}\n}}\n", opts.min_native_vm_ratio));
+    json.push_str(&format!("  \"min_native_ratio\": {:.3}\n}}\n", opts.min_native_ratio));
     std::fs::write("BENCH_TIMINGS.json", &json).expect("write timings json");
     println!("Wrote BENCH_TIMINGS.json ({} bytes)", json.len());
 
     let mut failed = false;
-    if let Some(r) = vm_ratio {
-        println!("  vm gate (full run): {r:.2}x (>= {:.2}x required)", opts.min_ratio);
+    if let Some(r) = native_ratio {
+        println!("  native gate (full run, vs tree): {r:.2}x (>= {:.2}x required)", opts.min_ratio);
         if r < opts.min_ratio {
-            eprintln!("FAIL: vm speedup {r:.2}x is below the {:.2}x gate", opts.min_ratio);
+            eprintln!(
+                "FAIL: full-run native speedup {r:.2}x is below the {:.2}x gate",
+                opts.min_ratio
+            );
             failed = true;
         }
     }
@@ -398,19 +379,6 @@ fn main() {
             eprintln!(
                 "FAIL: executor-only native speedup {r:.2}x is below the {:.2}x gate",
                 opts.min_native_ratio
-            );
-            failed = true;
-        }
-    }
-    if let Some(r) = exec_native_vm_ratio {
-        println!(
-            "  native gate (executor-only, vs vm): {r:.2}x (>= {:.2}x required)",
-            opts.min_native_vm_ratio
-        );
-        if r < opts.min_native_vm_ratio {
-            eprintln!(
-                "FAIL: executor-only native-vs-vm speedup {r:.2}x is below the {:.2}x gate",
-                opts.min_native_vm_ratio
             );
             failed = true;
         }

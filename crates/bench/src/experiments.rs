@@ -1194,26 +1194,6 @@ pub fn timings_json(threads: usize, total_wall: Duration, timings: &[JobTiming])
     out
 }
 
-/// Run the named experiments at full scale on all host threads and print
-/// their tables — the implementation behind the single-table binaries.
-pub fn print_experiments(slugs: &[&str]) {
-    let scale = Scale::full();
-    let engine = Engine::new(Engine::host_parallelism());
-    let exps = suite(&scale);
-    let selected: Vec<&Experiment> = slugs
-        .iter()
-        .map(|slug| {
-            exps.iter().find(|e| e.slug == *slug).unwrap_or_else(|| panic!("no experiment {slug}"))
-        })
-        .collect();
-    let (store, _) = run_matrix(&scale, &selected, &engine);
-    for e in &selected {
-        for t in e.render(&store) {
-            println!("{}", t.to_console());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1259,5 +1239,29 @@ mod tests {
         let water = select(&exps, Some(&f));
         assert!(!water.is_empty() && water.len() < exps.len());
         assert!(water.iter().all(|e| e.slug.contains("water")));
+
+        // Each slug DESIGN.md's experiment index points at
+        // (`experiments -- --filter <slug>`) selects exactly that experiment.
+        for slug in [
+            "table01-code-sizes",
+            "figure03-feasible-region",
+            "table02-bh-times",
+            "table03-bh-locking",
+            "table04-bh-sections",
+            "figure05-bh-series",
+            "table05-bh-intervals",
+            "table06-bh-sweep",
+            "table07-water-times",
+            "table08-water-locking",
+            "figure07-water-waiting",
+            "figures08-09-water-series",
+            "tables09-12-water-stats",
+            "tables13-14-water-sweep",
+            "table15-string",
+        ] {
+            let picked = select(&exps, Some(&Filter::new(slug)));
+            let slugs: Vec<&str> = picked.iter().map(|e| e.slug).collect();
+            assert_eq!(slugs, [slug], "--filter {slug}");
+        }
     }
 }

@@ -31,7 +31,7 @@ use crate::interp::{CostModel, Heap, HostRegistry, Interp, ProgramEnv, Value};
 use crate::lockplace::insert_default_regions;
 use crate::native::{compile_native, compile_native_reusing, NativeExec, NativeModule};
 use crate::syncopt::{optimize, FnSet, Policy};
-use crate::vm::{lower_body, lower_functions, ExecTier, Vm, VmModule};
+use crate::vm::{lower_body, lower_functions, VmModule};
 use dynfb_lang::hir::{body_size, Expr, ExprKind, FuncId, Function, Hir, LocalId, Place, Stmt, Ty};
 use dynfb_sim::{LockId, Machine, OpSink, PlanEntry, SectionKind, SimApp};
 use std::collections::HashMap;
@@ -130,7 +130,7 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Lowered bytecode of one section version.
+/// Lowered bytecode of one section version and its native code.
 #[derive(Debug, Clone)]
 pub struct VmCode {
     /// Module with one lowered function per [`VersionCode::functions`]
@@ -220,7 +220,7 @@ pub struct VersionCode {
     pub body: Vec<Stmt>,
     /// Types of the section function's locals (iteration frame layout).
     pub locals_ty: Vec<Ty>,
-    /// Bytecode for the fast execution tier.
+    /// Lowered bytecode and the native code compiled from it.
     pub vm: VmCode,
     /// Per-lock-class source-region provenance of this version (one entry
     /// per class with critical regions reachable from the loop body).
@@ -439,6 +439,23 @@ pub struct SectionCode {
     pub report: CommutativityReport,
 }
 
+/// Which execution tier a [`CompiledApp`] runs compiled code on.
+///
+/// Both tiers emit bit-identical step sequences into the [`OpSink`], so
+/// switching tiers never changes simulation results, only how fast the
+/// host produces them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecTier {
+    /// The tree-walking interpreter ([`crate::interp`]): the semantic
+    /// reference oracle.
+    Tree,
+    /// Fused native closures ([`crate::native`]), compiled from the
+    /// lowered bytecode at `compile()` time: the fast path and the
+    /// default.
+    #[default]
+    Native,
+}
+
 /// Code sizes of the different builds (the Table 1 reproduction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodeSizeReport {
@@ -460,10 +477,8 @@ pub struct CompiledApp {
     plan: Vec<PlanEntry>,
     /// Base (serial) function table, used by serial sections.
     serial_funcs: Vec<Function>,
-    /// `serial_funcs` lowered to bytecode (the VM tier of serial sections).
-    vm_serial: VmModule,
-    /// `vm_serial` compiled to fused closures (the native tier of serial
-    /// sections).
+    /// `serial_funcs` compiled to fused closures (the native tier of
+    /// serial sections).
     native_serial: Arc<NativeModule>,
     sections: HashMap<String, SectionCode>,
     env: ProgramEnv,
@@ -476,9 +491,9 @@ pub struct CompiledApp {
     hir: Hir,
     /// Which tier executes compiled code (the native tier by default).
     tier: ExecTier,
-    /// Register-stack scratch shared by the VM and native tiers, reused
-    /// across runs and iterations.
-    vm_regs: Vec<Value>,
+    /// Register-stack scratch of the native tier, reused across runs and
+    /// iterations.
+    regs: Vec<Value>,
 }
 
 impl fmt::Debug for CompiledApp {
@@ -681,7 +696,6 @@ pub fn compile(
     Ok(CompiledApp {
         name: options.name,
         plan: options.plan,
-        vm_serial,
         native_serial,
         serial_funcs: hir.functions.clone(),
         sections,
@@ -699,7 +713,7 @@ pub fn compile(
         active: HashMap::new(),
         hir,
         tier: ExecTier::default(),
-        vm_regs: Vec::new(),
+        regs: Vec::new(),
     })
 }
 
@@ -716,10 +730,10 @@ impl CompiledApp {
         self.tier
     }
 
-    /// Select the execution tier: fused native closures (default), the
-    /// bytecode VM, or the tree-walking oracle. All three emit
-    /// bit-identical step sequences, so switching tiers never changes
-    /// simulation results — only how fast the host produces them.
+    /// Select the execution tier: fused native closures (default) or the
+    /// tree-walking oracle. Both emit bit-identical step sequences, so
+    /// switching tiers never changes simulation results — only how fast
+    /// the host produces them.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.tier = tier;
     }
@@ -909,9 +923,8 @@ impl SimApp for CompiledApp {
         let CompiledApp {
             env,
             serial_funcs,
-            vm_serial,
             native_serial,
-            vm_regs,
+            regs,
             cost,
             fuel,
             max_objects,
@@ -926,19 +939,7 @@ impl SimApp for CompiledApp {
                 lock_base,
                 lock_capacity: *max_objects,
                 fuel: *fuel,
-                regs: vm_regs,
-            }
-            .call(func.0, None, &[])
-            .map(|_| ()),
-            ExecTier::Vm => Vm {
-                env,
-                module: vm_serial,
-                cost: *cost,
-                sink: ops,
-                lock_base,
-                lock_capacity: *max_objects,
-                fuel: *fuel,
-                regs: vm_regs,
+                regs,
             }
             .call(func.0, None, &[])
             .map(|_| ()),
@@ -981,7 +982,7 @@ impl SimApp for CompiledApp {
     fn emit_iteration(&mut self, section: &str, version: usize, iter: usize, ops: &mut OpSink) {
         let (start, _count) = self.active[section];
         let lock_base = self.lock_base.expect("setup ran");
-        let CompiledApp { env, sections, vm_regs, cost, fuel, max_objects, tier, .. } = self;
+        let CompiledApp { env, sections, regs, cost, fuel, max_objects, tier, .. } = self;
         let sc = &sections[section];
         let vc = if version == sc.versions.len() { &sc.serial } else { &sc.versions[version] };
         let value = start + iter as i64;
@@ -993,18 +994,7 @@ impl SimApp for CompiledApp {
                 lock_base,
                 lock_capacity: *max_objects,
                 fuel: *fuel,
-                regs: vm_regs,
-            }
-            .exec_iteration(vc.vm.body_fn, vc.var.0, value),
-            ExecTier::Vm => Vm {
-                env,
-                module: &vc.vm.module,
-                cost: *cost,
-                sink: ops,
-                lock_base,
-                lock_capacity: *max_objects,
-                fuel: *fuel,
-                regs: vm_regs,
+                regs,
             }
             .exec_iteration(vc.vm.body_fn, vc.var.0, value),
             ExecTier::Tree => {

@@ -635,8 +635,8 @@ impl<'a> Interp<'a> {
 }
 
 /// Apply a binary operator to two values. Shared by the tree-walker and
-/// the bytecode VM so both tiers have identical numeric semantics and
-/// error messages.
+/// the native tier's checked kernels and constant folding, so both tiers
+/// have identical numeric semantics and error messages.
 #[inline]
 pub(crate) fn binary_op(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
     use Value::{Bool, Double, Int};

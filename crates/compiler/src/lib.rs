@@ -23,12 +23,13 @@
 //!    deduplication; the result implements `dynfb_sim::SimApp` and runs on
 //!    the simulated multiprocessor.
 //!
-//! Compiled code executes on one of three tiers: fused native closures
-//! ([`native`], the default — each basic block compiled to a single Rust
-//! closure at `compile()` time), the register-based bytecode VM ([`vm`]),
-//! or the tree-walking interpreter ([`interp`], the reference oracle).
-//! All three emit bit-identical simulation step sequences; see `DESIGN.md`
-//! for the determinism contract.
+//! Compiled code executes on one of two tiers: fused native closures
+//! ([`native`], the default — each function is lowered to register
+//! bytecode ([`vm`]) and each basic block of that is compiled to a single
+//! Rust closure at `compile()` time) or the tree-walking interpreter
+//! ([`interp`], the reference oracle). Both emit bit-identical
+//! simulation step sequences; see `DESIGN.md` for the determinism
+//! contract.
 
 #![warn(missing_docs)]
 
@@ -43,7 +44,6 @@ pub mod symbolic;
 pub mod syncopt;
 pub mod vm;
 
-pub use artifact::{compile, CompileError, CompileOptions, CompiledApp, RegionInfo};
+pub use artifact::{compile, CompileError, CompileOptions, CompiledApp, ExecTier, RegionInfo};
 pub use interp::{CostModel, HostRegistry, Value};
 pub use syncopt::Policy;
-pub use vm::ExecTier;

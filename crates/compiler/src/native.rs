@@ -1,12 +1,12 @@
-//! Tier-3 native execution: closure-fusion compilation above the bytecode
-//! VM.
+//! Native execution: closure-fusion compilation of the lowered bytecode.
 //!
-//! The bytecode VM ([`crate::vm`]) still pays three per-instruction costs
-//! the hardware does not have to: the dispatch `match` (one indirect
-//! branch from a single, maximally-mispredicted call site), a bounds check
-//! on every register operand, and a fuel/cost debit per [`Insn::Charge`].
-//! This module removes all three by compiling each [`VmFunc`] *basic
-//! block* into a single fused Rust closure at `compile()` time:
+//! Executing the bytecode ([`crate::vm`]) one instruction at a time would
+//! pay three per-instruction costs the hardware does not have to: a
+//! dispatch `match` (one indirect branch from a single, maximally
+//! mispredicted call site), a bounds check on every register operand, and
+//! a fuel/cost debit per [`Insn::Charge`]. This module avoids all three by
+//! compiling each [`VmFunc`] *basic block* into a single fused Rust
+//! closure at `compile()` time:
 //!
 //! * **fused superinstructions** — the block's instructions are lowered to
 //!   monomorphized op kernels (one closure type per instruction variant,
@@ -31,7 +31,7 @@
 //!   charge folds into its successor kernel as a prologue (no dedicated
 //!   dispatch), and on fuel exhaustion the kernel debits the sink only
 //!   for the fuel actually consumed, so the exhaustion point and the
-//!   partial sink match the VM and the tree-walker bit-for-bit.
+//!   partial sink match the tree-walker bit-for-bit.
 //!
 //! ## Typed kernels
 //!
@@ -80,16 +80,19 @@
 //! kernels debit the same nanosecond-exact compute, and host calls charge
 //! their configured costs — so `ProcStats`, the per-lock metrics, the
 //! detector signal path, and every oracle see byte-identical numbers under
-//! all three tiers.
+//! both tiers.
 //!
 //! ## Determinism contract
 //!
-//! Identical to the VM's (see [`crate::vm`]): same return values, heap,
-//! globals, step sequences, error messages, and fuel boundary as the
-//! tree-walker on every successful run; error paths may differ only in
+//! For every program that the tree-walker executes successfully, native
+//! code produces the *same* return value, heap, globals, final sink step
+//! sequence, and fuel success/failure boundary. Runtime errors carry the
+//! same messages; on an error path the two tiers may differ only in
 //! partially-flushed sink contents around host calls (which batch their
-//! preceding node charges after the call). `tests/native_differential.rs`
-//! enforces the contract across all three tiers.
+//! preceding node charges after the call) and partially-applied heap
+//! effects, which the runtime discards (iteration errors abort the run).
+//! `tests/native_differential.rs` enforces the contract on seeded random
+//! programs and run configurations.
 
 use crate::interp::{binary_op, check_args, unary_op, CostModel, ProgramEnv, RuntimeError, Value};
 use crate::vm::{Insn, OpTy, VmFunc, VmModule, NO_REG};
@@ -1637,7 +1640,7 @@ impl NativeExec<'_> {
 mod tests {
     use super::*;
     use crate::interp::{Heap, HostRegistry, Interp};
-    use crate::vm::{lower_functions, Vm};
+    use crate::vm::lower_functions;
     use dynfb_lang::compile_source;
     use dynfb_lang::hir::{ExprKind, Stmt, Ty};
     use dynfb_sim::Step;
@@ -1667,15 +1670,16 @@ mod tests {
         result: Result<Value, RuntimeError>,
         steps: Vec<Step>,
         globals: Vec<Value>,
+        heap: Heap,
     }
 
-    /// Run one function under all three tiers with the given fuel.
-    fn tiers(src: &str, func: &str, args: &[Value], fuel: u64) -> [Outcome; 3] {
+    /// Run one function on the tree-walker and on native code with the
+    /// given fuel.
+    fn tiers(src: &str, func: &str, args: &[Value], fuel: u64) -> [Outcome; 2] {
         let hir = compile_source(src).unwrap_or_else(|e| panic!("{e}"));
         let f = hir.function_named(func).expect("function");
         let base = lock_base(1024);
-        let module = lower_functions(&hir.functions);
-        let native = compile_native(&module, &CostModel::default());
+        let native = compile_native(&lower_functions(&hir.functions), &CostModel::default());
 
         let tree = {
             let mut env = env_for(&hir);
@@ -1690,24 +1694,8 @@ mod tests {
                 fuel,
             }
             .call(f.0, None, args.to_vec());
-            Outcome { result, steps: sink.into_steps().into_iter().collect(), globals: env.globals }
-        };
-        let vm = {
-            let mut env = env_for(&hir);
-            let mut sink = OpSink::default();
-            let mut regs = Vec::new();
-            let result = Vm {
-                env: &mut env,
-                module: &module,
-                cost: CostModel::default(),
-                sink: &mut sink,
-                lock_base: base,
-                lock_capacity: 1024,
-                fuel,
-                regs: &mut regs,
-            }
-            .call(f.0, None, args);
-            Outcome { result, steps: sink.into_steps().into_iter().collect(), globals: env.globals }
+            let steps = sink.into_steps().into_iter().collect();
+            Outcome { result, steps, globals: env.globals, heap: env.heap }
         };
         let nat = {
             let mut env = env_for(&hir);
@@ -1723,9 +1711,26 @@ mod tests {
                 regs: &mut regs,
             }
             .call(f.0, None, args);
-            Outcome { result, steps: sink.into_steps().into_iter().collect(), globals: env.globals }
+            let steps = sink.into_steps().into_iter().collect();
+            Outcome { result, steps, globals: env.globals, heap: env.heap }
         };
-        [tree, vm, nat]
+        [tree, nat]
+    }
+
+    /// Run `func` on both tiers with ample fuel; assert identical values,
+    /// step sequences, globals and heaps; return the value.
+    fn agree(src: &str, func: &str, args: &[Value]) -> Value {
+        let [tree, nat] = tiers(src, func, args, 10_000_000);
+        let v = tree.result.unwrap_or_else(|e| panic!("tree: {e}"));
+        assert_eq!(nat.result, Ok(v), "return values");
+        assert_eq!(tree.steps, nat.steps, "step sequences");
+        assert_eq!(tree.globals, nat.globals, "globals");
+        assert_eq!(tree.heap.arrays, nat.heap.arrays, "arrays");
+        assert_eq!(tree.heap.objects.len(), nat.heap.objects.len(), "object count");
+        for (a, b) in tree.heap.objects.iter().zip(&nat.heap.objects) {
+            assert_eq!(a.fields, b.fields, "object fields");
+        }
+        v
     }
 
     /// Run `func` of `hir` on the tree tier and on `native` (compiled from
@@ -1841,22 +1846,52 @@ mod tests {
 
     #[test]
     fn recursion_and_control_flow_match() {
-        let [tree, vm, nat] = tiers(
+        let v = agree(
             "int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }",
             "fib",
             &[Value::Int(12)],
-            10_000_000,
         );
-        assert_eq!(tree.result.as_ref().unwrap(), &Value::Int(144));
-        assert_eq!(tree.result, vm.result);
-        assert_eq!(tree.result, nat.result);
-        assert_eq!(tree.steps, nat.steps);
-        assert_eq!(vm.steps, nat.steps);
+        assert_eq!(v, Value::Int(144));
+    }
+
+    #[test]
+    fn loops_arrays_and_objects_match() {
+        let v = agree(
+            "class cell { int count; void bump(int n) { this.count += n; } }
+             int test(int n) {
+                 cell[] cells = new cell[n];
+                 for (int i = 0; i < n; i++) { cells[i] = new cell(); }
+                 int j = n * 2;
+                 while (j > 0) { j = j - 1; cells[j % n].bump(j); }
+                 int total = 0;
+                 for (int i = 0; i < n; i++) { total += cells[i].count; }
+                 return total;
+             }",
+            "test",
+            &[Value::Int(6)],
+        );
+        assert_eq!(v, Value::Int(66));
+    }
+
+    #[test]
+    fn extern_calls_and_doubles_match() {
+        let v = agree(
+            "extern double hostadd(double, double);
+             double test(int n) {
+                 double acc = 0.0;
+                 for (int i = 0; i < n; i++) { acc = hostadd(acc, i * 0.5); }
+                 return acc;
+             }",
+            "test",
+            &[Value::Int(9)],
+        );
+        assert_eq!(v, Value::Double(18.0));
     }
 
     #[test]
     fn loops_heap_and_externs_match() {
-        let src = "extern double hostadd(double, double);
+        let v = agree(
+            "extern double hostadd(double, double);
              class cell { int count; void bump(int n) { this.count += n; } }
              double test(int n) {
                  cell[] cells = new cell[n];
@@ -1866,17 +1901,36 @@ mod tests {
                  double acc = 0.0;
                  for (int i = 0; i < n; i++) { acc = hostadd(acc, cells[i].count * 0.5); }
                  return acc;
-             }";
-        let [tree, vm, nat] = tiers(src, "test", &[Value::Int(6)], 10_000_000);
-        assert_eq!(tree.result, nat.result);
-        assert_eq!(vm.result, nat.result);
-        assert_eq!(tree.steps, nat.steps);
-        assert_eq!(tree.globals, nat.globals);
+             }",
+            "test",
+            &[Value::Int(6)],
+        );
+        assert_eq!(v, Value::Double(33.0));
+    }
+
+    /// Native code fails and succeeds on exactly the tree-walker's fuel
+    /// boundary.
+    #[test]
+    fn fuel_boundary_is_identical() {
+        let src = "int burn(int n) { int acc = 0; for (int i = 0; i < n; i++) { acc += i; } return acc; }";
+        let run = |fuel: u64| tiers(src, "burn", &[Value::Int(10)], fuel);
+        let need =
+            (0..10_000u64).find(|&fuel| run(fuel)[0].result.is_ok()).expect("finite program");
+        let [_, nat] = run(need);
+        assert_eq!(
+            nat.result,
+            Ok(Value::Int(45)),
+            "native succeeds at the tree-walker's minimum fuel"
+        );
+        let [tree, nat] = run(need - 1);
+        assert!(tree.result.is_err());
+        let e = nat.result.unwrap_err();
+        assert!(e.message.contains("fuel"), "{e}");
     }
 
     /// The typed boundaries: entry arguments are checked for arity and
     /// scalar tags, and a host result must match the extern's declared
-    /// return type. Every tier returns the same error, and none panics.
+    /// return type. Both tiers return the same error, and neither panics.
     #[test]
     fn entry_arguments_and_host_results_are_checked_in_every_tier() {
         let src = "extern double badret();
@@ -1896,19 +1950,18 @@ mod tests {
             ("viahost", &[], "extern `badret` returned Int(7), declared `double`"),
         ];
         for (func, args, want) in cases {
-            for (tier, o) in ["tree", "vm", "native"].iter().zip(tiers(src, func, args, 10_000)) {
+            for (tier, o) in ["tree", "native"].iter().zip(tiers(src, func, args, 10_000)) {
                 let err = o.result.expect_err(tier);
                 assert_eq!(err.message, want, "{tier}, {func}({args:?})");
             }
         }
-        let [tree, vm, nat] = tiers(src, "inc", &[Value::Int(41)], 10_000);
+        let [tree, nat] = tiers(src, "inc", &[Value::Int(41)], 10_000);
         assert_eq!(tree.result, Ok(Value::Int(42)));
-        assert_eq!(vm.result, tree.result);
         assert_eq!(nat.result, tree.result);
     }
 
     /// The fused-block debit bisects exactly at the fuel boundary: for
-    /// every fuel value, all three tiers agree on success/failure, and an
+    /// every fuel value, both tiers agree on success/failure, and an
     /// exhausted run's sink records exactly one node cost per unit of fuel
     /// consumed — so the partial step sequences are identical too (the
     /// program is free of host calls, whose cost batching legitimately
@@ -1923,15 +1976,13 @@ mod tests {
                    }";
         let mut boundary = None;
         for fuel in 0..10_000u64 {
-            let [tree, vm, nat] = tiers(src, "burn", &[Value::Int(9)], fuel);
+            let [tree, nat] = tiers(src, "burn", &[Value::Int(9)], fuel);
             assert_eq!(
                 tree.result.is_ok(),
                 nat.result.is_ok(),
                 "tree vs native disagree at fuel {fuel}"
             );
-            assert_eq!(vm.result.is_ok(), nat.result.is_ok(), "vm vs native disagree at {fuel}");
             assert_eq!(tree.steps, nat.steps, "partial sinks differ at fuel {fuel}");
-            assert_eq!(vm.steps, nat.steps, "partial sinks differ at fuel {fuel}");
             if tree.result.is_ok() {
                 boundary = Some(fuel);
                 break;
@@ -1952,7 +2003,7 @@ mod tests {
     }
 
     /// Lock traffic on the error path: exhaustion before an acquire leaves
-    /// the same acquire/release prefix in every tier (the lowering flushes
+    /// the same acquire/release prefix in both tiers (the lowering flushes
     /// charges before lock instructions, so the boundary cannot move
     /// across a lock operation).
     #[test]

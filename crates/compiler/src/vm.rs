@@ -1,68 +1,43 @@
-//! A register-based bytecode VM: the fast execution tier for compiled apps.
+//! Bytecode lowering: the register-based instruction set the native tier
+//! compiles from.
 //!
 //! The tree-walking interpreter ([`crate::interp`]) is the semantic
-//! reference, but its dispatch cost (one `Box`-chasing `match`, one
-//! [`OpSink`] charge, and one fuel check *per HIR node*) dominates the
-//! host wall-clock of every benchmark. This module lowers each function to
-//! a flat `Vec<Insn>` executed by a tight loop:
+//! reference. This module lowers each function to a flat `Vec<Insn>`
+//! ([`VmFunc`]), which [`crate::native`] then compiles to fused closures.
+//! Nothing executes the bytecode directly; the lowering fixes the frame
+//! layout, the control flow and the cost accounting native code follows:
 //!
 //! * **registers, not trees** — every expression node becomes an
 //!   instruction reading and writing frame-relative register slots; locals
 //!   occupy registers `0..num_locals` and temporaries are allocated with
 //!   stack discipline above them. Jump targets are patched to absolute
-//!   instruction indices, so control flow is two integer assignments.
+//!   instruction indices.
 //! * **batched op-cost accounting** — the lowering counts the interpreter
 //!   charges of each basic block *statically* and emits one
 //!   [`Insn::Charge`] per block instead of charging per node. Because the
 //!   sink merges consecutive compute charges ([`OpSink::compute_batch`] is
 //!   exact in nanoseconds) and the charge count between any two lock
-//!   operations is preserved, the emitted step sequence is bit-identical
-//!   to the tree-walker's.
-//! * **resolved extern calls** — [`Insn::CallHost`] dispatches through the
-//!   dense index table built by [`HostRegistry::link`], with no per-call
-//!   string clone or hash lookup.
+//!   operations is preserved, the step sequence native code emits is
+//!   bit-identical to the tree-walker's.
+//! * **resolved extern calls** — [`Insn::CallHost`] names the dense index
+//!   of the table built by
+//!   [`HostRegistry::link`](crate::interp::HostRegistry::link), so no call
+//!   clones a string or hashes a name.
 //! * **explicit lock instructions** — [`Insn::LockAcquire`] /
-//!   [`Insn::LockRelease`] emit the same acquire/release steps at the same
-//!   points as the tree-walker's critical regions, including releasing all
-//!   enclosing regions (innermost first) on early `return`.
-//!
-//! ## Determinism contract
-//!
-//! For every program that the tree-walker executes successfully, the VM
-//! produces the *same* return value, heap, globals, final sink step
-//! sequence, and fuel success/failure boundary. Runtime errors carry the
-//! same messages; on an error path the two tiers may differ only in
-//! partially-flushed sink contents and partially-applied heap effects,
-//! which the runtime discards (iteration errors abort the run). The
-//! differential fuzz suite (`tests/vm_differential.rs`) enforces this
-//! contract on seeded random programs and run configurations.
+//!   [`Insn::LockRelease`] sit at the same points as the tree-walker's
+//!   critical regions, including releasing all enclosing regions
+//!   (innermost first) on early `return`.
+//! * **sema types on operators** — [`Insn::Binary`] and [`Insn::Unary`]
+//!   carry their operand's [`OpTy`], so native code selects typed kernels.
 //!
 //! Barriers and sampling rendezvous are runtime-level constructs
 //! (`dynfb_sim::runtime` inserts them between iterations); no code the
 //! lowering sees contains them, so the ISA carries no barrier instruction.
+//!
+//! [`OpSink::compute_batch`]: dynfb_sim::OpSink::compute_batch
 
-use crate::interp::{binary_op, check_args, unary_op, CostModel, ProgramEnv, RuntimeError, Value};
+use crate::interp::Value;
 use dynfb_lang::hir::{BinOp, Expr, ExprKind, Function, Place, Stmt, Ty, UnOp};
-use dynfb_sim::{LockId, OpSink};
-
-/// Which execution tier a [`CompiledApp`](crate::artifact::CompiledApp)
-/// uses to run compiled code.
-///
-/// All three tiers emit bit-identical step sequences into the [`OpSink`],
-/// so switching tiers never changes simulation results — only how fast the
-/// host produces them. The slower tiers are kept as differential oracles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecTier {
-    /// The tree-walking interpreter — the semantic reference oracle.
-    Tree,
-    /// The register-based bytecode VM — dispatches one `Insn` at a time.
-    Vm,
-    /// The closure-fusion native tier ([`crate::native`]) — each basic
-    /// block compiled to a single fused Rust closure. The fast path and
-    /// the default.
-    #[default]
-    Native,
-}
 
 /// Register index within a frame. Locals first, temporaries above.
 pub type Reg = u16;
@@ -73,8 +48,7 @@ pub(crate) const NO_REG: Reg = Reg::MAX;
 /// The sema-resolved type of an operator's operand, carried into the
 /// bytecode so the native tier can select a typed kernel. Sema coerces
 /// both sides of a binary operator to one type, so the left operand's
-/// type stands for both. The bytecode interpreter ignores it and
-/// dispatches on value tags, as the tree-walker does.
+/// type stands for both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpTy {
     /// `int`.
@@ -104,7 +78,8 @@ impl OpTy {
 /// One bytecode instruction.
 ///
 /// Only [`Insn::Charge`], [`Insn::CallHost`], [`Insn::LockAcquire`] and
-/// [`Insn::LockRelease`] touch the [`OpSink`]; every other instruction is
+/// [`Insn::LockRelease`] touch the [`OpSink`](dynfb_sim::OpSink); every
+/// other instruction is
 /// free, exactly like the machine ops they stand for are covered by the
 /// per-node charges the lowering already counted.
 #[derive(Debug, Clone, PartialEq)]
@@ -627,429 +602,5 @@ impl Lowerer {
             self.release_to(m);
         }
         Reg::try_from(base).expect("register file")
-    }
-}
-
-/// The bytecode executor. Borrows the same program state as
-/// [`crate::interp::Interp`] and emits into the same [`OpSink`]; the
-/// register stack is caller-provided so it can be reused across
-/// iterations without reallocation.
-pub struct Vm<'a> {
-    /// Program state (heap, globals, host functions).
-    pub env: &'a mut ProgramEnv,
-    /// The lowered function table of the executing version.
-    pub module: &'a VmModule,
-    /// Cost model (node and extern-default costs).
-    pub cost: CostModel,
-    /// Destination for compute/acquire/release steps.
-    pub sink: &'a mut OpSink,
-    /// First lock of the per-object lock pool.
-    pub lock_base: LockId,
-    /// Size of the lock pool (max objects).
-    pub lock_capacity: usize,
-    /// Remaining evaluation fuel.
-    pub fuel: u64,
-    /// The register stack, grown on demand and reused across calls.
-    pub regs: &'a mut Vec<Value>,
-}
-
-impl Vm<'_> {
-    /// Call a function with an optional receiver (frame at the base of the
-    /// register stack).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors with the same messages as the
-    /// tree-walker.
-    pub fn call(
-        &mut self,
-        func: usize,
-        this: Option<Value>,
-        args: &[Value],
-    ) -> Result<Value, RuntimeError> {
-        let f = &self.module.funcs[func];
-        check_args(&f.name, f.local_defaults[..f.num_params].iter().copied(), args)?;
-        self.ensure(f.num_regs);
-        self.regs[..args.len()].copy_from_slice(args);
-        for i in args.len()..f.local_defaults.len() {
-            self.regs[i] = f.local_defaults[i];
-        }
-        self.run(func, 0, this)
-    }
-
-    /// Execute an iteration body: frame-zero locals are reset to their
-    /// defaults and the induction variable slot is preset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors.
-    pub fn exec_iteration(
-        &mut self,
-        func: usize,
-        var: usize,
-        value: i64,
-    ) -> Result<(), RuntimeError> {
-        let f = &self.module.funcs[func];
-        self.ensure(f.num_regs);
-        self.regs[..f.local_defaults.len()].copy_from_slice(&f.local_defaults);
-        self.regs[var] = Value::Int(value);
-        self.run(func, 0, None).map(|_| ())
-    }
-
-    fn ensure(&mut self, need: usize) {
-        if self.regs.len() < need {
-            self.regs.resize(need, Value::Null);
-        }
-    }
-
-    fn charge(&mut self, n: u32) -> Result<(), RuntimeError> {
-        let need = u64::from(n);
-        if need > self.fuel {
-            // Bisect the block's debit at the fuel boundary: charge the
-            // sink only for the fuel actually consumed, exactly as the
-            // tree-walker's per-node accounting would.
-            let used = u32::try_from(self.fuel).expect("fuel < n <= u32::MAX");
-            self.sink.compute_batch(self.cost.node, used);
-            self.fuel = 0;
-            return Err(RuntimeError::new("evaluation fuel exhausted (runaway loop?)"));
-        }
-        self.fuel -= need;
-        self.sink.compute_batch(self.cost.node, n);
-        Ok(())
-    }
-
-    fn lock_for(&self, obj: usize) -> Result<LockId, RuntimeError> {
-        if obj >= self.lock_capacity {
-            return Err(RuntimeError::new(format!(
-                "object {obj} exceeds the lock pool capacity {} (raise max_objects)",
-                self.lock_capacity
-            )));
-        }
-        Ok(self.lock_base.offset(obj))
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run(
-        &mut self,
-        func: usize,
-        base: usize,
-        this: Option<Value>,
-    ) -> Result<Value, RuntimeError> {
-        let module = self.module;
-        let f = &module.funcs[func];
-        let code = &f.code[..];
-        let mut pc = 0usize;
-        macro_rules! reg {
-            ($r:expr) => {
-                self.regs[base + $r as usize]
-            };
-        }
-        loop {
-            let insn = &code[pc];
-            pc += 1;
-            match insn {
-                Insn::Charge(n) => self.charge(*n)?,
-                Insn::Const { dst, v } => reg![*dst] = *v,
-                Insn::Move { dst, src } => reg![*dst] = reg![*src],
-                Insn::LoadThis { dst } => {
-                    reg![*dst] = this.ok_or_else(|| RuntimeError::new("`this` outside method"))?;
-                }
-                Insn::LoadGlobal { dst, g } => reg![*dst] = self.env.globals[*g as usize],
-                Insn::StoreGlobal { g, src } => self.env.globals[*g as usize] = reg![*src],
-                Insn::FieldGet { dst, obj, field } => {
-                    let Value::Obj(id) = reg![*obj] else {
-                        return Err(RuntimeError::new("field read on null/non-object"));
-                    };
-                    reg![*dst] = self.env.heap.objects[id].fields[usize::from(*field)];
-                }
-                Insn::FieldSet { obj, field, src } => {
-                    let v = reg![*src];
-                    let Value::Obj(id) = reg![*obj] else {
-                        return Err(RuntimeError::new("field write on null/non-object"));
-                    };
-                    self.env.heap.objects[id].fields[usize::from(*field)] = v;
-                }
-                Insn::IndexGet { dst, arr, idx } => {
-                    let i = reg![*idx].as_int()?;
-                    let Value::Arr(id) = reg![*arr] else {
-                        return Err(RuntimeError::new("index read on null/non-array"));
-                    };
-                    let a = &self.env.heap.arrays[id];
-                    reg![*dst] =
-                        *a.get(usize::try_from(i).unwrap_or(usize::MAX)).ok_or_else(|| {
-                            RuntimeError::new(format!("index {i} out of bounds ({})", a.len()))
-                        })?;
-                }
-                Insn::IndexSet { arr, idx, src } => {
-                    let v = reg![*src];
-                    let i = reg![*idx].as_int()?;
-                    let Value::Arr(id) = reg![*arr] else {
-                        return Err(RuntimeError::new("index write on null/non-array"));
-                    };
-                    let a = &mut self.env.heap.arrays[id];
-                    let len = a.len();
-                    *a.get_mut(usize::try_from(i).unwrap_or(usize::MAX)).ok_or_else(|| {
-                        RuntimeError::new(format!("index {i} out of bounds ({len})"))
-                    })? = v;
-                }
-                Insn::ArrayLen { dst, arr } => {
-                    let Value::Arr(id) = reg![*arr] else {
-                        return Err(RuntimeError::new("length of null/non-array"));
-                    };
-                    reg![*dst] = Value::Int(self.env.heap.arrays[id].len() as i64);
-                }
-                Insn::Binary { dst, op, lhs, rhs, .. } => {
-                    reg![*dst] = binary_op(*op, reg![*lhs], reg![*rhs])?;
-                }
-                Insn::Unary { dst, op, src, .. } => reg![*dst] = unary_op(*op, reg![*src])?,
-                Insn::IntToDouble { dst, src } => {
-                    reg![*dst] = Value::Double(reg![*src].as_int()? as f64);
-                }
-                Insn::CheckInt { src } => {
-                    let v = reg![*src];
-                    v.as_int()?;
-                }
-                Insn::CheckRecv { obj, func } => {
-                    if reg![*obj] == Value::Null {
-                        return Err(RuntimeError::new(format!(
-                            "method `{}` on null",
-                            module.funcs[*func as usize].name
-                        )));
-                    }
-                }
-                Insn::Jump { target } => pc = *target as usize,
-                Insn::JumpIfFalse { cond, target } => {
-                    if !matches!(reg![*cond], Value::Bool(true)) {
-                        pc = *target as usize;
-                    }
-                }
-                Insn::Call { dst, func: callee, base: abase, recv } => {
-                    let callee = *callee as usize;
-                    let recv_v = if *recv == NO_REG { None } else { Some(reg![*recv]) };
-                    let cf = &module.funcs[callee];
-                    let callee_base = base + f.num_regs;
-                    if self.regs.len() < callee_base + cf.num_regs {
-                        self.regs.resize(callee_base + cf.num_regs, Value::Null);
-                    }
-                    let abase = base + usize::from(*abase);
-                    self.regs.copy_within(abase..abase + cf.num_params, callee_base);
-                    for i in cf.num_params..cf.local_defaults.len() {
-                        self.regs[callee_base + i] = cf.local_defaults[i];
-                    }
-                    let v = self.run(callee, callee_base, recv_v)?;
-                    reg![*dst] = v;
-                }
-                Insn::CallHost { dst, ext, base: abase, argc } => {
-                    let abase = base + usize::from(*abase);
-                    let ProgramEnv { host, externs, .. } = &mut *self.env;
-                    let v = host.call(
-                        *ext as usize,
-                        externs,
-                        &self.regs[abase..abase + usize::from(*argc)],
-                        self.cost.extern_default,
-                        self.sink,
-                    )?;
-                    reg![*dst] = v;
-                }
-                Insn::NewObj { dst, class } => {
-                    let env = &mut *self.env;
-                    let id = env.heap.alloc_object(*class as usize, &env.classes);
-                    reg![*dst] = Value::Obj(id);
-                }
-                Insn::NewArr { dst, len, default } => {
-                    let n = reg![*len].as_int()?;
-                    if n < 0 {
-                        return Err(RuntimeError::new("negative array length"));
-                    }
-                    self.env.heap.arrays.push(vec![*default; n as usize]);
-                    reg![*dst] = Value::Arr(self.env.heap.arrays.len() - 1);
-                }
-                Insn::LockAcquire { obj } => {
-                    let Value::Obj(id) = reg![*obj] else {
-                        return Err(RuntimeError::new("critical region on null/non-object"));
-                    };
-                    let lock = self.lock_for(id)?;
-                    self.sink.acquire(lock);
-                }
-                Insn::LockRelease { obj } => {
-                    let Value::Obj(id) = reg![*obj] else {
-                        return Err(RuntimeError::new("critical region on null/non-object"));
-                    };
-                    let lock = self.lock_for(id)?;
-                    self.sink.release(lock);
-                }
-                Insn::Return { src } => return Ok(reg![*src]),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::interp::{Heap, HostRegistry, Interp};
-    use dynfb_lang::compile_source;
-    use std::time::Duration;
-
-    fn env_for(hir: &dynfb_lang::hir::Hir) -> ProgramEnv {
-        let mut env = ProgramEnv {
-            classes: hir.classes.clone(),
-            externs: hir.externs.clone(),
-            globals: hir.globals.iter().map(|g| Value::default_for(&g.ty)).collect(),
-            heap: Heap::default(),
-            host: HostRegistry::new(),
-        };
-        env.host.register("hostadd", Duration::from_nanos(100), |args| {
-            Value::Double(args[0].as_double().unwrap() + args[1].as_double().unwrap())
-        });
-        env
-    }
-
-    fn lock_base(n: usize) -> LockId {
-        let mut m = dynfb_sim::Machine::new(dynfb_sim::MachineConfig::default());
-        m.add_locks(n)
-    }
-
-    /// Run `func` under both tiers; assert identical values, heaps,
-    /// globals, and step sequences; return the value.
-    fn both(src: &str, func: &str, args: Vec<Value>) -> Value {
-        let hir = compile_source(src).unwrap_or_else(|e| panic!("{e}"));
-        let f = hir.function_named(func).expect("function");
-        let base = lock_base(1024);
-
-        let mut tree_env = env_for(&hir);
-        let mut tree_sink = OpSink::default();
-        let tree_val = {
-            let mut interp = Interp {
-                env: &mut tree_env,
-                funcs: &hir.functions,
-                cost: CostModel::default(),
-                sink: &mut tree_sink,
-                lock_base: base,
-                lock_capacity: 1024,
-                fuel: 10_000_000,
-            };
-            interp.call(f.0, None, args.clone()).unwrap_or_else(|e| panic!("tree: {e}"))
-        };
-
-        let module = lower_functions(&hir.functions);
-        let mut vm_env = env_for(&hir);
-        let mut vm_sink = OpSink::default();
-        let mut regs = Vec::new();
-        let vm_val = {
-            let mut vm = Vm {
-                env: &mut vm_env,
-                module: &module,
-                cost: CostModel::default(),
-                sink: &mut vm_sink,
-                lock_base: base,
-                lock_capacity: 1024,
-                fuel: 10_000_000,
-                regs: &mut regs,
-            };
-            vm.call(f.0, None, &args).unwrap_or_else(|e| panic!("vm: {e}"))
-        };
-
-        assert_eq!(tree_val, vm_val, "return values");
-        assert_eq!(tree_env.globals, vm_env.globals, "globals");
-        assert_eq!(tree_env.heap.arrays, vm_env.heap.arrays, "arrays");
-        assert_eq!(tree_env.heap.objects.len(), vm_env.heap.objects.len(), "object count");
-        for (a, b) in tree_env.heap.objects.iter().zip(&vm_env.heap.objects) {
-            assert_eq!(a.fields, b.fields, "object fields");
-        }
-        let ts: Vec<_> = tree_sink.into_steps().into_iter().collect();
-        let vs: Vec<_> = vm_sink.into_steps().into_iter().collect();
-        assert_eq!(ts, vs, "step sequences");
-        vm_val
-    }
-
-    #[test]
-    fn recursion_matches_tree_walker() {
-        let v = both(
-            "int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }",
-            "fib",
-            vec![Value::Int(12)],
-        );
-        assert_eq!(v, Value::Int(144));
-    }
-
-    #[test]
-    fn loops_arrays_and_objects_match() {
-        let v = both(
-            "class cell { int count; void bump(int n) { this.count += n; } }
-             int test(int n) {
-                 cell[] cells = new cell[n];
-                 for (int i = 0; i < n; i++) { cells[i] = new cell(); }
-                 int j = n * 2;
-                 while (j > 0) { j = j - 1; cells[j % n].bump(j); }
-                 int total = 0;
-                 for (int i = 0; i < n; i++) { total += cells[i].count; }
-                 return total;
-             }",
-            "test",
-            vec![Value::Int(6)],
-        );
-        assert_eq!(v, Value::Int(66));
-    }
-
-    #[test]
-    fn extern_calls_and_doubles_match() {
-        let v = both(
-            "extern double hostadd(double, double);
-             double test(int n) {
-                 double acc = 0.0;
-                 for (int i = 0; i < n; i++) { acc = hostadd(acc, i * 0.5); }
-                 return acc;
-             }",
-            "test",
-            vec![Value::Int(9)],
-        );
-        assert_eq!(v, Value::Double(18.0));
-    }
-
-    #[test]
-    fn fuel_boundary_is_identical() {
-        let src = "int burn(int n) { int acc = 0; for (int i = 0; i < n; i++) { acc += i; } return acc; }";
-        let hir = compile_source(src).unwrap();
-        let f = hir.function_named("burn").unwrap();
-        let base = lock_base(4);
-        let run_tree = |fuel: u64| -> Result<Value, RuntimeError> {
-            let mut env = env_for(&hir);
-            let mut sink = OpSink::default();
-            let mut interp = Interp {
-                env: &mut env,
-                funcs: &hir.functions,
-                cost: CostModel::default(),
-                sink: &mut sink,
-                lock_base: base,
-                lock_capacity: 4,
-                fuel,
-            };
-            interp.call(f.0, None, vec![Value::Int(10)])
-        };
-        let module = lower_functions(&hir.functions);
-        let run_vm = |fuel: u64| -> Result<Value, RuntimeError> {
-            let mut env = env_for(&hir);
-            let mut sink = OpSink::default();
-            let mut regs = Vec::new();
-            let mut vm = Vm {
-                env: &mut env,
-                module: &module,
-                cost: CostModel::default(),
-                sink: &mut sink,
-                lock_base: base,
-                lock_capacity: 4,
-                fuel,
-                regs: &mut regs,
-            };
-            vm.call(f.0, None, &[Value::Int(10)])
-        };
-        // Find the exact fuel need under the tree-walker, then assert the
-        // VM fails/succeeds on the same boundary.
-        let need = (0..10_000u64).find(|&fu| run_tree(fu).is_ok()).expect("finite program");
-        assert!(run_tree(need - 1).is_err());
-        assert!(run_vm(need).is_ok(), "vm succeeds at the tree-walker's minimum fuel");
-        let e = run_vm(need - 1).unwrap_err();
-        assert!(e.message.contains("fuel"), "{e}");
     }
 }
