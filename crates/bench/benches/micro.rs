@@ -13,8 +13,9 @@ use dynfb_core::theory::Analysis;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Time `f` over adaptively chosen iteration counts and print the mean.
-fn bench(name: &str, mut f: impl FnMut()) {
+/// Time `f` over adaptively chosen iteration counts, print the mean and
+/// return it.
+fn bench(name: &str, mut f: impl FnMut()) -> Duration {
     // Warm-up and calibration: find an iteration count that runs ≥ 50 ms.
     let mut iters: u64 = 1;
     let per_iter = loop {
@@ -36,6 +37,7 @@ fn bench(name: &str, mut f: impl FnMut()) {
     let mean = start.elapsed() / u32::try_from(iters).unwrap_or(u32::MAX);
     let _ = per_iter;
     println!("{name:<45} {mean:>12.3?}/iter  ({iters} iters)");
+    mean
 }
 
 fn bench_controller() {
@@ -62,10 +64,11 @@ fn bench_theory() {
 }
 
 fn bench_engine() {
-    use dynfb_sim::{Machine, MachineConfig, ProcCtx, Process, Step};
+    use dynfb_bench::chaos::{self, ChaosApp, ChaosConfig};
+    use dynfb_sim::{LockId, Machine, MachineConfig, OpSink, ProcCtx, Process, SimApp, Step};
     struct Spin {
         remaining: u32,
-        lock: dynfb_sim::LockId,
+        lock: LockId,
     }
     impl Process for Spin {
         fn step(&mut self, _ctx: &mut ProcCtx<'_>) -> Step {
@@ -89,6 +92,77 @@ fn bench_engine() {
             .collect();
         black_box(m.run(procs).unwrap());
     });
+
+    /// One processor's share of the chaos workload: iteration `iter` runs
+    /// `bodies[iter % SLOTS]`. The runtime hands iterations out on
+    /// demand; here they are dealt round-robin.
+    struct Iterations<'a> {
+        bodies: &'a [Vec<Step>],
+        iter: usize,
+        stride: usize,
+        end: usize,
+        cursor: usize,
+    }
+    impl Process for Iterations<'_> {
+        fn step(&mut self, _ctx: &mut ProcCtx<'_>) -> Step {
+            while self.iter < self.end {
+                let body = &self.bodies[self.iter % chaos::SLOTS];
+                if let Some(&step) = body.get(self.cursor) {
+                    self.cursor += 1;
+                    return step;
+                }
+                self.cursor = 0;
+                self.iter += self.stride;
+            }
+            Step::Done
+        }
+    }
+    // The chaos workload's engine traffic (`dynfb_bench::chaos`): its
+    // processor count, `SLOTS` slot locks, machine cost model and
+    // `lock-storm` fault plan (a contention storm from the workload's
+    // onset on), running the steps `ChaosApp` emits for its `original`
+    // version, the one with the most lock traffic. Every step is one
+    // engine event, plus one `Done` per processor.
+    let cfg = ChaosConfig::default();
+    let storm = chaos::scenarios(&cfg)
+        .into_iter()
+        .find(|s| s.name == "lock-storm")
+        .expect("the chaos matrix has a lock-storm scenario")
+        .plan;
+    // A fresh machine numbers its locks from zero, so bodies emitted
+    // against this one name the same locks in every timed run.
+    let mut app = ChaosApp::new(cfg.iters);
+    app.setup(&mut Machine::new(chaos::chaos_machine()));
+    let original = chaos::VERSIONS.iter().position(|&v| v == "original").expect("a chaos version");
+    let bodies: Vec<Vec<Step>> = (0..chaos::SLOTS)
+        .map(|iter| {
+            let mut ops = OpSink::default();
+            app.emit_iteration("work", original, iter, &mut ops);
+            ops.into_steps().into()
+        })
+        .collect();
+    let name = "engine/chaos_original_lock_storm";
+    let per_run = bench(name, || {
+        let mut m = Machine::new(chaos::chaos_machine());
+        m.set_fault_plan(storm.clone()).unwrap();
+        ChaosApp::new(cfg.iters).setup(&mut m);
+        let procs: Vec<Box<dyn Process>> = (0..cfg.procs)
+            .map(|p| {
+                let share = Iterations {
+                    bodies: &bodies,
+                    iter: p,
+                    stride: cfg.procs,
+                    end: cfg.iters,
+                    cursor: 0,
+                };
+                Box::new(share) as Box<dyn Process>
+            })
+            .collect();
+        black_box(m.run(procs).unwrap());
+    });
+    let events: usize =
+        (0..cfg.iters).map(|iter| bodies[iter % chaos::SLOTS].len()).sum::<usize>() + cfg.procs;
+    println!("{name:<45} {:>12.1} ns/event", per_run.as_secs_f64() * 1e9 / events as f64);
 }
 
 fn bench_compile() {

@@ -162,6 +162,30 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// This kind's bit in a [`FaultPlan`]'s presence set.
+    fn bit(&self) -> u8 {
+        match self {
+            FaultKind::Slowdown { .. } => SLOWDOWN,
+            FaultKind::ContentionStorm { .. } => STORM,
+            FaultKind::TimerDrift { .. } => DRIFT,
+            FaultKind::TimerJitter { .. } => JITTER,
+            FaultKind::BarrierStraggler { .. } => STRAGGLER,
+            FaultKind::ProcCrash { .. } => CRASH,
+            FaultKind::ProcStall { .. } => STALL,
+        }
+    }
+}
+
+// Presence-set bits, one per `FaultKind` variant.
+const SLOWDOWN: u8 = 1 << 0;
+const STORM: u8 = 1 << 1;
+const DRIFT: u8 = 1 << 2;
+const JITTER: u8 = 1 << 3;
+const STRAGGLER: u8 = 1 << 4;
+const CRASH: u8 = 1 << 5;
+const STALL: u8 = 1 << 6;
+
 /// A [`FaultKind`] active during a [`Window`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
@@ -201,17 +225,23 @@ const MAX_ONSET: Duration = Duration::from_secs(3600);
 ///
 /// The default plan is empty (no faults); an empty plan leaves every
 /// simulation result bit-identical to a machine without fault support.
+///
+/// The engine queries the plan on every step, so a query for a kind the
+/// plan does not contain returns its identity without scanning the events.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
+    /// One bit per [`FaultKind`] variant present in `events`, kept by
+    /// [`push`](FaultPlan::push), the only mutator.
+    kinds: u8,
 }
 
 impl FaultPlan {
     /// An empty plan whose jitter streams are derived from `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, events: Vec::new() }
+        FaultPlan { seed, events: Vec::new(), kinds: 0 }
     }
 
     /// Builder-style: add an event.
@@ -223,7 +253,14 @@ impl FaultPlan {
 
     /// Add an event.
     pub fn push(&mut self, window: Window, kind: FaultKind) {
+        self.kinds |= kind.bit();
         self.events.push(FaultEvent { window, kind });
+    }
+
+    /// Whether the plan contains an event of any kind in `bits`.
+    #[inline]
+    fn has(&self, bits: u8) -> bool {
+        self.kinds & bits != 0
     }
 
     /// The plan's events.
@@ -335,6 +372,9 @@ impl FaultPlan {
     #[must_use]
     pub fn compute_factor(&self, proc: usize, t: SimTime) -> f64 {
         let mut factor = 1.0;
+        if !self.has(SLOWDOWN) {
+            return factor;
+        }
         for e in &self.events {
             if let FaultKind::Slowdown { procs, factor: f } = &e.kind {
                 if e.window.contains(t) && procs.matches(proc) {
@@ -349,6 +389,9 @@ impl FaultPlan {
     #[must_use]
     pub fn lock_cost_factor(&self, lock: usize, t: SimTime) -> f64 {
         let mut factor = 1.0;
+        if !self.has(STORM) {
+            return factor;
+        }
         for e in &self.events {
             if let FaultKind::ContentionStorm { locks, cost_factor, .. } = &e.kind {
                 if e.window.contains(t) && locks.matches(lock) {
@@ -364,6 +407,9 @@ impl FaultPlan {
     #[must_use]
     pub fn extra_hold(&self, lock: usize, t: SimTime) -> Duration {
         let mut extra = Duration::ZERO;
+        if !self.has(STORM) {
+            return extra;
+        }
         for e in &self.events {
             if let FaultKind::ContentionStorm { locks, extra_hold, .. } = &e.kind {
                 if e.window.contains(t) && locks.matches(lock) {
@@ -378,6 +424,9 @@ impl FaultPlan {
     #[must_use]
     pub fn barrier_delay(&self, proc: usize, t: SimTime) -> Duration {
         let mut delay = Duration::ZERO;
+        if !self.has(STRAGGLER) {
+            return delay;
+        }
         for e in &self.events {
             if let FaultKind::BarrierStraggler { procs, delay: d } = &e.kind {
                 if e.window.contains(t) && procs.matches(proc) {
@@ -394,6 +443,9 @@ impl FaultPlan {
     /// next scheduling point at or after this instant.
     #[must_use]
     pub fn crash_at(&self, proc: usize) -> Option<SimTime> {
+        if !self.has(CRASH) {
+            return None;
+        }
         self.events
             .iter()
             .filter_map(|e| match &e.kind {
@@ -409,6 +461,9 @@ impl FaultPlan {
     /// free to run.
     #[must_use]
     pub fn stall_until(&self, proc: usize, t: SimTime) -> Option<SimTime> {
+        if !self.has(STALL) {
+            return None;
+        }
         self.events
             .iter()
             .filter_map(|e| match &e.kind {
@@ -426,7 +481,7 @@ impl FaultPlan {
     /// across consecutive reads.
     #[must_use]
     pub fn observed_time(&self, proc: usize, read_no: u64, real: SimTime) -> SimTime {
-        if self.events.is_empty() {
+        if !self.has(DRIFT | JITTER) {
             return real;
         }
         let mut observed = i128::from(real.as_nanos());

@@ -46,6 +46,8 @@ pub enum SimError {
     UnknownResource,
     /// The configured event limit was exceeded (runaway process).
     EventLimitExceeded,
+    /// Simulated time would pass `u64::MAX` nanoseconds (about 584 years).
+    TimeOverflow,
     /// A run was requested on zero processors.
     NoProcessors,
     /// The machine cost model failed validation.
@@ -85,6 +87,7 @@ impl fmt::Display for SimError {
             }
             SimError::UnknownResource => write!(f, "step referenced an unknown lock or barrier"),
             SimError::EventLimitExceeded => write!(f, "event limit exceeded"),
+            SimError::TimeOverflow => write!(f, "simulated time overflowed u64 nanoseconds"),
             SimError::NoProcessors => write!(f, "need at least one processor"),
             SimError::Config(e) => write!(f, "{e}"),
             SimError::FaultPlan(e) => write!(f, "{e}"),
@@ -134,6 +137,14 @@ fn scale(d: Duration, factor: f64) -> Duration {
     Duration::from_nanos(ns as u64)
 }
 
+/// `t + d` for an event time: the one place the engine adds time, so an
+/// overflow is a typed error in every build profile instead of a silent
+/// wrap (release) or a panic (debug).
+#[inline]
+fn after(t: SimTime, d: Duration) -> Result<SimTime, SimError> {
+    t.checked_add(d).ok_or(SimError::TimeOverflow)
+}
+
 /// Grant a freed lock to its first waiter (if any) at `free_at`, accounting
 /// the waiter's spinning as waiting overhead (§4.3 — failed attempts ×
 /// cost). Shared by the normal release path and crashed-holder recovery so
@@ -151,8 +162,8 @@ fn grant_next_waiter<M: MetricsSink>(
     queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
     seq: &mut u64,
     metrics: &mut M,
-) {
-    let Some((w, since)) = l.waiters.pop_front() else { return };
+) -> Result<(), SimError> {
+    let Some((w, since)) = l.waiters.pop_front() else { return Ok(()) };
     let span = free_at - since;
     let attempt = config.lock_attempt_cost;
     let attempts = if attempt.is_zero() {
@@ -162,6 +173,7 @@ fn grant_next_waiter<M: MetricsSink>(
         u64::try_from(a).unwrap_or(u64::MAX).max(1)
     };
     let acq_cost = scale(config.lock_acquire_cost, faults.lock_cost_factor(lock_idx, free_at));
+    let granted = after(free_at, acq_cost)?;
     let wi = w.0;
     stats[wi].wait_time += span;
     stats[wi].failed_attempts += attempts;
@@ -171,12 +183,13 @@ fn grant_next_waiter<M: MetricsSink>(
     l.acquires += 1;
     l.contended_acquires += 1;
     if M::ENABLED {
-        l.held_since = free_at + acq_cost;
+        l.held_since = granted;
         metrics.lock_acquired(lock_idx, acq_cost, span, attempts);
     }
     status[wi] = ProcStatus::Ready;
-    queue.push(Reverse(((free_at + acq_cost).as_nanos(), *seq, wi)));
+    queue.push(Reverse((granted.as_nanos(), *seq, wi)));
     *seq += 1;
+    Ok(())
 }
 
 /// Release a completed barrier: schedule every arrived processor at the
@@ -196,9 +209,9 @@ fn release_barrier(
     queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
     seq: &mut u64,
     leader: Option<usize>,
-) {
+) -> Result<(), SimError> {
     let latest = b.arrived.iter().map(|&(_, at)| at).max().unwrap_or(at_least);
-    let release = latest.max(at_least) + barrier_cost;
+    let release = after(latest.max(at_least), barrier_cost)?;
     let lead =
         leader.or_else(|| b.arrived.iter().max_by_key(|&&(w, at)| (at, w.0)).map(|&(w, _)| w.0));
     if let Some(lead) = lead {
@@ -211,6 +224,7 @@ fn release_barrier(
         *seq += 1;
     }
     b.arrived.clear();
+    Ok(())
 }
 
 #[derive(Debug, Default)]
@@ -404,7 +418,8 @@ impl Machine {
     /// # Errors
     ///
     /// Returns a [`SimError`] on deadlock, lock misuse, unknown resources,
-    /// or when the event limit is exceeded.
+    /// when the event limit is exceeded, or when simulated time would
+    /// overflow ([`SimError::TimeOverflow`]).
     pub fn run<'a>(
         &mut self,
         processes: Vec<Box<dyn Process + 'a>>,
@@ -422,8 +437,7 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] on deadlock, lock misuse, unknown resources,
-    /// or when the event limit is exceeded.
+    /// Same as [`run`](Machine::run).
     pub fn run_metered<'a, M: MetricsSink>(
         &mut self,
         mut processes: Vec<Box<dyn Process + 'a>>,
@@ -526,7 +540,7 @@ impl Machine {
                         queue,
                         &mut seq,
                         metrics,
-                    );
+                    )?;
                 }
                 // Dead processors drop out of every barrier: the rendezvous
                 // size shrinks so survivors are not stranded waiting for an
@@ -546,7 +560,7 @@ impl Machine {
                             queue,
                             &mut seq,
                             None,
-                        );
+                        )?;
                     }
                 }
                 continue;
@@ -577,10 +591,14 @@ impl Machine {
             let step = processes[p].step(&mut ctx);
             let ProcCtx { pending_compute, pending_timer, timer_reads, .. } = ctx;
 
-            stats[p].compute += pending_compute;
-            stats[p].timer_time += pending_timer;
             stats[p].timer_reads += timer_reads;
-            let t_eff = now + pending_compute + pending_timer;
+            // Most steps charge nothing; skip the duration arithmetic.
+            let mut t_eff = now;
+            if !(pending_compute.is_zero() && pending_timer.is_zero()) {
+                stats[p].compute += pending_compute;
+                stats[p].timer_time += pending_timer;
+                t_eff = after(now, pending_compute + pending_timer)?;
+            }
 
             match step {
                 Step::Compute(d) => {
@@ -589,7 +607,7 @@ impl Machine {
                     // granularity of the event engine).
                     let d = scale(d, faults.compute_factor(p, t_eff));
                     stats[p].compute += d;
-                    push(queue, &mut seq, t_eff + d, p);
+                    push(queue, &mut seq, after(t_eff, d)?, p);
                 }
                 Step::Yield => {
                     push(queue, &mut seq, t_eff, p);
@@ -608,15 +626,16 @@ impl Machine {
                         dirty_locks.push(lock.0);
                     }
                     if l.holder.is_none() {
+                        let acquired = after(t_eff, cost)?;
                         l.holder = Some(ProcId(p));
                         l.acquires += 1;
                         stats[p].acquires += 1;
                         stats[p].lock_time += cost;
                         if M::ENABLED {
-                            l.held_since = t_eff + cost;
+                            l.held_since = acquired;
                             metrics.lock_acquired(lock.0, cost, Duration::ZERO, 0);
                         }
-                        push(queue, &mut seq, t_eff + cost, p);
+                        push(queue, &mut seq, acquired, p);
                     } else {
                         l.waiters.push_back((ProcId(p), t_eff));
                         status[p] = ProcStatus::Blocked;
@@ -642,8 +661,8 @@ impl Machine {
                         // (the release cost is locking, not holding).
                         metrics.lock_released(lock.0, cost, t_eff.saturating_since(l.held_since));
                     }
-                    let released_at = t_eff + cost;
-                    let free_at = released_at + extra;
+                    let released_at = after(t_eff, cost)?;
+                    let free_at = after(released_at, extra)?;
                     l.holder = None;
                     grant_next_waiter(
                         l,
@@ -656,12 +675,12 @@ impl Machine {
                         queue,
                         &mut seq,
                         metrics,
-                    );
+                    )?;
                     push(queue, &mut seq, released_at, p);
                 }
                 Step::Barrier(barrier) => {
                     // Straggler faults delay this processor's arrival.
-                    let arrival = t_eff + faults.barrier_delay(p, t_eff);
+                    let arrival = after(t_eff, faults.barrier_delay(p, t_eff))?;
                     let Some(b) = barriers.get_mut(barrier.0) else {
                         return Err(SimError::UnknownResource);
                     };
@@ -683,7 +702,7 @@ impl Machine {
                             queue,
                             &mut seq,
                             Some(p),
-                        );
+                        )?;
                     } else {
                         status[p] = ProcStatus::Blocked;
                     }
@@ -914,6 +933,23 @@ mod tests {
         let spin = |_: &mut ProcCtx<'_>| Step::Yield;
         let err = m.run(vec![Box::new(spin) as Box<dyn Process>]).unwrap_err();
         assert_eq!(err, SimError::EventLimitExceeded);
+    }
+
+    #[test]
+    fn time_overflow_is_an_error_in_every_profile() {
+        // 10^10 s is 10^19 ns: one fits in u64 nanoseconds, two do not.
+        let huge = Duration::from_secs(10_000_000_000);
+        let mut m = Machine::new(MachineConfig::default());
+        let p = Script::new(vec![Step::Compute(huge), Step::Compute(huge), Step::Done]);
+        assert_eq!(m.run(vec![Box::new(p)]).unwrap_err(), SimError::TimeOverflow);
+        // A single step longer than u64::MAX ns is no panic either.
+        let p = Script::new(vec![Step::Compute(Duration::MAX), Step::Done]);
+        assert_eq!(m.run(vec![Box::new(p)]).unwrap_err(), SimError::TimeOverflow);
+        // The lock path adds through the same helper: time reaches exactly
+        // u64::MAX ns, then the acquire cost cannot be added.
+        let l = m.add_lock();
+        let p = Script::new(vec![Step::Compute(Duration::from_nanos(u64::MAX)), Step::Acquire(l)]);
+        assert_eq!(m.run(vec![Box::new(p)]).unwrap_err(), SimError::TimeOverflow);
     }
 
     #[test]

@@ -100,9 +100,8 @@ impl<'a> ProcCtx<'a> {
     pub fn read_timer(&mut self) -> SimTime {
         self.pending_timer += self.timer_read_cost;
         self.timer_reads += 1;
-        let real = self.now + self.pending_compute + self.pending_timer;
         let read_no = self.prior_timer_reads + self.timer_reads;
-        self.faults.observed_time(self.proc.0, read_no, real)
+        self.faults.observed_time(self.proc.0, read_no, self.charged_now())
     }
 
     /// Observe the machine timer *without* charging a read or consuming a
@@ -114,9 +113,17 @@ impl<'a> ProcCtx<'a> {
     /// interval once a transient drift window has shifted the clock.
     #[must_use]
     pub fn peek_timer(&self) -> SimTime {
-        let real = self.now + self.pending_compute + self.pending_timer;
         let read_no = self.prior_timer_reads + self.timer_reads + 1;
-        self.faults.observed_time(self.proc.0, read_no, real)
+        self.faults.observed_time(self.proc.0, read_no, self.charged_now())
+    }
+
+    /// Virtual time after the time charged so far in this step. Saturates:
+    /// the engine reports an unrepresentable instant as
+    /// `SimError::TimeOverflow` once the step returns.
+    fn charged_now(&self) -> SimTime {
+        self.now
+            .checked_add(self.pending_compute + self.pending_timer)
+            .unwrap_or(SimTime::from_nanos(u64::MAX))
     }
 
     /// Charge additional computation time that occurs before the step this

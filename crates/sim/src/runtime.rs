@@ -85,9 +85,17 @@ impl OpSink {
         }
     }
 
-    /// Finalize into the step sequence the machine will execute. Public so
+    /// Replace the sink's steps with one body emitted by `emit`, keeping
+    /// the allocation.
+    fn refill(&mut self, emit: impl FnOnce(&mut OpSink)) {
+        self.steps.clear();
+        emit(self);
+        self.flush();
+    }
+
+    /// Finalize into the step sequence the machine would execute. Public so
     /// differential tests can compare the exact steps two execution tiers
-    /// emit; the runtime itself also drains sinks through this.
+    /// emit.
     #[must_use]
     pub fn into_steps(mut self) -> VecDeque<Step> {
         self.flush();
@@ -528,23 +536,17 @@ struct Active {
 }
 
 impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
-    /// Initialize section `plan_idx` if not already active. `totals` are
-    /// machine-wide stats at `now` (the baseline for the first interval's
-    /// overhead measurement).
+    /// Initialize section `plan_idx` if not already active. The
+    /// machine-wide stats at this instant (the baseline for the first
+    /// interval's overhead measurement) are read from `ctx` only when a
+    /// section starts, not on every iteration.
     ///
     /// # Errors
     ///
     /// Returns a typed [`SimError`] for an application whose section has no
     /// versions, or (in static mode) no version implementing the requested
     /// policy. The caller records the error on the driver and winds down.
-    fn ensure_active(
-        &mut self,
-        plan_idx: usize,
-        now: SimTime,
-        observed: SimTime,
-        totals: ProcStats,
-        crashed: usize,
-    ) -> Result<(), SimError> {
+    fn ensure_active(&mut self, plan_idx: usize, ctx: &ProcCtx<'_>) -> Result<(), SimError> {
         let stale = match &self.active {
             Some(a) => a.plan_idx != plan_idx || a.section_over,
             None => true,
@@ -552,6 +554,10 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
         if !stale {
             return Ok(());
         }
+        let now = ctx.now();
+        let observed = ctx.peek_timer();
+        let totals = ctx.total_stats();
+        let crashed = crashed_count(ctx);
         debug_assert!(
             self.active.as_ref().is_none_or(|a| a.section_over),
             "previous section must be finalized"
@@ -1001,7 +1007,7 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
 enum PState {
     /// About to begin plan entry `pos` (or finish if out of entries).
     NextEntry,
-    /// Draining the op queue; then go to `after`.
+    /// Draining the step buffer; then go to `after`.
     Drain(AfterDrain),
     /// Poll the timer and check interval expiration (dynamic mode).
     PollTimer,
@@ -1017,7 +1023,7 @@ enum AfterDrain {
     ToBarrier,
     /// After an iteration body: poll the timer (dynamic/instrumented) or
     /// fetch the next iteration directly.
-    NextIteration { poll: bool },
+    NextIteration,
 }
 
 struct AppProcess<'a, S: TraceSink, J: JournalSink> {
@@ -1025,10 +1031,15 @@ struct AppProcess<'a, S: TraceSink, J: JournalSink> {
     proc_index: usize,
     pos: usize,
     state: PState,
-    queue: VecDeque<Step>,
+    /// This processor's step buffer: refilled in place by every body it
+    /// emits and drained through `cursor`, so no iteration allocates.
+    ops: OpSink,
+    cursor: usize,
     barrier: BarrierId,
     instrument_cost: Duration,
-    instrumented_static: bool,
+    /// Charge instrumentation and poll the timer after every iteration
+    /// (dynamic modes and instrumented static runs).
+    poll: bool,
 }
 
 /// Number of processors that have crash-stopped so far, as visible to a
@@ -1042,18 +1053,17 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
     /// Take the next loop iteration (or initiate the section-ending
     /// rendezvous), returning the next step.
     fn parallel_step(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
-        let totals = ctx.total_stats();
-        let crashed = crashed_count(ctx);
         let mut driver = self.driver.borrow_mut();
-        if let Err(e) = driver.ensure_active(self.pos, ctx.now(), ctx.peek_timer(), totals, crashed)
-        {
+        if let Err(e) = driver.ensure_active(self.pos, ctx) {
             driver.error.get_or_insert(e);
             self.state = PState::Finished;
             return Step::Done;
         }
-        let dynamic = matches!(driver.mode, RunMode::Dynamic(_) | RunMode::DynamicAsync(_));
-        let Some(active) = driver.active.as_mut() else {
-            driver.error.get_or_insert(SimError::Internal("no active section after init"));
+        // Split borrow: the section name stays borrowed from the plan
+        // while the app emits into this processor's buffer.
+        let Driver { app, plan, active, error, .. } = &mut *driver;
+        let Some(active) = active.as_mut() else {
+            error.get_or_insert(SimError::Internal("no active section after init"));
             self.state = PState::Finished;
             return Step::Done;
         };
@@ -1069,23 +1079,21 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
         }
         let iter = active.issued_iters;
         active.issued_iters += 1;
-        let version = active.version;
-        let section = driver.plan[self.pos].name.clone();
-        let mut sink = OpSink::default();
-        driver.app.emit_iteration(&section, version, iter, &mut sink);
-        self.queue = sink.into_steps();
-        let poll = dynamic || self.instrumented_static;
-        if poll {
+        let section = &plan[self.pos].name;
+        self.ops.refill(|ops| app.emit_iteration(section, active.version, iter, ops));
+        self.cursor = 0;
+        if self.poll {
             ctx.charge(self.instrument_cost);
         }
-        self.state = PState::Drain(AfterDrain::NextIteration { poll });
+        self.state = PState::Drain(AfterDrain::NextIteration);
         drop(driver);
         self.drain(ctx)
     }
 
-    /// Return the next queued step, or transition to the continuation.
+    /// Return the next buffered step, or transition to the continuation.
     fn drain(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
-        if let Some(step) = self.queue.pop_front() {
+        if let Some(&step) = self.ops.steps.get(self.cursor) {
+            self.cursor += 1;
             return step;
         }
         let after = match self.state {
@@ -1097,8 +1105,8 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
                 self.state = PState::AfterBarrier;
                 Step::Barrier(self.barrier)
             }
-            AfterDrain::NextIteration { poll } => {
-                if poll {
+            AfterDrain::NextIteration => {
+                if self.poll {
                     self.state = PState::PollTimer;
                     self.poll_timer(ctx)
                 } else {
@@ -1115,11 +1123,12 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
     /// as the generated code would; the stuck-sampling watchdog compares
     /// against fault-immune simulation time to catch observed clocks that
     /// have stalled.
+    ///
+    /// Machine-wide stats are summed only on the paths that consume them:
+    /// a detector-signal slice, an asynchronous transition, or an abort.
     fn poll_timer(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
         let t = ctx.read_timer();
         let now = ctx.now();
-        let totals = ctx.total_stats();
-        let crashed = crashed_count(ctx);
         let mut driver = self.driver.borrow_mut();
         let asynchronous = matches!(driver.mode, RunMode::DynamicAsync(_));
         let watchdog = driver.sampling_watchdog;
@@ -1143,6 +1152,7 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
                     && ctl.event_driven()
                     && t.saturating_since(active.signal_at) >= ctl.config().target_sampling
                 {
+                    let totals = ctx.total_stats();
                     let slice = totals.since(&active.signal_snapshot).overhead_sample();
                     active.signal_at = t;
                     active.signal_snapshot = totals;
@@ -1158,13 +1168,13 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
                 // rendezvous; the other processors observe the new version
                 // at their next iteration. Timestamped with the observed
                 // time, as the generated code would.
-                driver.apply_transition(t, t, totals, crashed);
+                driver.apply_transition(t, t, ctx.total_stats(), crashed_count(ctx));
             } else if let Some(active) = driver.active.as_mut() {
                 active.switch_requested = true;
             }
         } else if stuck {
             if asynchronous {
-                driver.apply_abort(now, t, totals, crashed);
+                driver.apply_abort(now, t, ctx.total_stats(), crashed_count(ctx));
             } else if let Some(active) = driver.active.as_mut() {
                 active.switch_requested = true;
                 active.abort_requested = true;
@@ -1221,25 +1231,17 @@ impl<'a, S: TraceSink, J: JournalSink> Process for AppProcess<'a, S, J> {
                 let kind = self.driver.borrow().plan[self.pos].kind;
                 match kind {
                     SectionKind::Serial => {
-                        let totals = ctx.total_stats();
-                        let crashed = crashed_count(ctx);
                         let mut driver = self.driver.borrow_mut();
-                        if let Err(e) = driver.ensure_active(
-                            self.pos,
-                            ctx.now(),
-                            ctx.peek_timer(),
-                            totals,
-                            crashed,
-                        ) {
+                        if let Err(e) = driver.ensure_active(self.pos, ctx) {
                             driver.error.get_or_insert(e);
                             self.state = PState::Finished;
                             return Step::Done;
                         }
                         if self.proc_index == 0 {
-                            let section = driver.plan[self.pos].name.clone();
-                            let mut sink = OpSink::default();
-                            driver.app.emit_serial(&section, &mut sink);
-                            self.queue = sink.into_steps();
+                            let Driver { app, plan, .. } = &mut *driver;
+                            let section = &plan[self.pos].name;
+                            self.ops.refill(|ops| app.emit_serial(section, ops));
+                            self.cursor = 0;
                             drop(driver);
                             self.state = PState::Drain(AfterDrain::ToBarrier);
                             self.drain(ctx)
@@ -1397,9 +1399,9 @@ fn run_app_impl<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink, M: MetricsSink
     let barrier = machine.add_barrier(config.num_procs);
     let name = app.name().to_string();
     let plan = app.plan();
-    let instrumented_static = match &config.mode {
+    let poll = match &config.mode {
         RunMode::Static { instrumented, .. } => *instrumented,
-        RunMode::Dynamic(_) | RunMode::DynamicAsync(_) => false,
+        RunMode::Dynamic(_) | RunMode::DynamicAsync(_) => true,
     };
     let driver = Rc::new(RefCell::new(Driver {
         app: Box::new(app),
@@ -1423,10 +1425,11 @@ fn run_app_impl<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink, M: MetricsSink
                 proc_index: p,
                 pos: 0,
                 state: PState::NextEntry,
-                queue: VecDeque::new(),
+                ops: OpSink::default(),
+                cursor: 0,
                 barrier,
                 instrument_cost: config.instrument_cost,
-                instrumented_static,
+                poll,
             }) as Box<dyn Process + '_>
         })
         .collect();

@@ -17,12 +17,14 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Construct from raw nanoseconds.
+    #[inline]
     #[must_use]
     pub fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
 
     /// Raw nanoseconds since the start of simulation.
+    #[inline]
     #[must_use]
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -45,6 +47,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics in debug builds if `earlier` is later than `self`.
+    #[inline]
     #[must_use]
     pub fn since(self, earlier: SimTime) -> Duration {
         debug_assert!(earlier <= self, "time went backwards: {earlier} > {self}");
@@ -54,20 +57,37 @@ impl SimTime {
     /// Time elapsed since `earlier`, or zero if `earlier` is later — for
     /// *observed* timestamps, which fault injection (timer jitter, negative
     /// drift) can legitimately make non-monotone.
+    #[inline]
     #[must_use]
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
+
+    /// `self + d`, or `None` when the sum is not representable (past
+    /// `u64::MAX` nanoseconds). Plain `u64` arithmetic: no `u128` round
+    /// trip through [`Duration::as_nanos`].
+    #[inline]
+    #[must_use]
+    pub fn checked_add(self, d: Duration) -> Option<SimTime> {
+        let ns =
+            d.as_secs().checked_mul(1_000_000_000)?.checked_add(u64::from(d.subsec_nanos()))?;
+        self.0.checked_add(ns).map(SimTime)
+    }
 }
 
+/// Panics if the sum overflows simulated time, in release builds too; the
+/// event engine uses [`SimTime::checked_add`] and reports
+/// `SimError::TimeOverflow` instead.
 impl Add<Duration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: Duration) -> SimTime {
-        SimTime(self.0 + u64::try_from(rhs.as_nanos()).expect("duration overflow"))
+        self.checked_add(rhs).expect("simulated time overflow")
     }
 }
 
 impl AddAssign<Duration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         *self = *self + rhs;
     }
@@ -75,6 +95,7 @@ impl AddAssign<Duration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> Duration {
         self.since(rhs)
     }
@@ -110,6 +131,22 @@ mod tests {
     fn display_in_seconds() {
         let t = SimTime::from_nanos(1_500_000_000);
         assert_eq!(t.to_string(), "1.500000s");
+    }
+
+    #[test]
+    fn checked_add_rejects_unrepresentable_sums() {
+        let max = SimTime::from_nanos(u64::MAX);
+        assert_eq!(max.checked_add(Duration::ZERO), Some(max));
+        assert_eq!(max.checked_add(Duration::from_nanos(1)), None);
+        assert_eq!(SimTime::ZERO.checked_add(Duration::MAX), None);
+        let big = Duration::from_secs(10_000_000_000);
+        let once = SimTime::ZERO.checked_add(big).unwrap();
+        assert_eq!(once.as_nanos(), 10_000_000_000_000_000_000);
+        assert_eq!(once.checked_add(big), None);
+        assert_eq!(
+            SimTime::from_nanos(7).checked_add(Duration::new(2, 5)),
+            Some(SimTime::from_nanos(2_000_000_012))
+        );
     }
 
     #[test]
