@@ -8,10 +8,11 @@
 //! [`TraceEvent::PolicySwitch`] carrying the same timestamp, policies and
 //! reason; every [`DecisionKind::Alarm`] with a `ChangePointAlarm` whose
 //! chart numbers equal the record's evidence snapshot; every
-//! [`DecisionKind::Health`] with a `PolicyHealth` transition. The two
-//! streams are produced by independent emission paths, so agreement is a
-//! real end-to-end check that the journal's *evidence* narrative describes
-//! the same run the trace timeline does.
+//! [`DecisionKind::Health`] with a `PolicyHealth` transition. Both streams
+//! are written from the same controller decisions by
+//! `dynfb_core::journal::record_decision`, so agreement checks that emitter
+//! end to end over every fault scenario, and that neither channel dropped
+//! anything.
 //!
 //! On top of the oracle, [`explain_report_with`] renders a human-readable
 //! causal timeline per switch ("switched original→aggressive

@@ -31,8 +31,10 @@ use crate::engine::{Engine, Filter, Job};
 use crate::report::Table;
 use dynfb_apps::{barnes_hut, BarnesHutConfig};
 use dynfb_compiler::CompiledApp;
+use dynfb_core::journal::NullJournal;
 use dynfb_core::metrics::{lock_rows_json, profile_json, prometheus_text, MetricsRegistry};
-use dynfb_sim::{run_app_metered, ProcStats, RunConfig, SimApp};
+use dynfb_core::trace::NullSink;
+use dynfb_sim::{run_app_flight_recorded, ProcStats, RunConfig, SimApp};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -74,8 +76,14 @@ pub fn slot_label(id: usize) -> String {
 pub fn run_mode_metered(cfg: &ChaosConfig, scenario: &Scenario, mode: ChaosMode) -> MeteredMode {
     let run = chaos::mode_run_config(cfg, scenario, mode);
     let mut registry = MetricsRegistry::new();
-    let report =
-        run_app_metered(ChaosApp::new(cfg.iters), &run, &mut registry).expect("metered chaos run");
+    let report = run_app_flight_recorded(
+        ChaosApp::new(cfg.iters),
+        &run,
+        &mut NullSink,
+        &mut NullJournal,
+        &mut registry,
+    )
+    .expect("metered chaos run");
     let adaptation = match mode {
         ChaosMode::Static(_) => None,
         ChaosMode::Dynamic | ChaosMode::EventDriven => {
@@ -367,8 +375,14 @@ pub struct CompiledProfile {
 pub fn barnes_hut_profile(bodies: usize, procs: usize, policy: &str) -> CompiledProfile {
     let mut app = barnes_hut(&BarnesHutConfig { bodies, steps: 1, ..BarnesHutConfig::default() });
     let mut registry = MetricsRegistry::new();
-    let report = run_app_metered(&mut app, &RunConfig::fixed(procs, policy), &mut registry)
-        .expect("barnes-hut profile run");
+    let report = run_app_flight_recorded(
+        &mut app,
+        &RunConfig::fixed(procs, policy),
+        &mut NullSink,
+        &mut NullJournal,
+        &mut registry,
+    )
+    .expect("barnes-hut profile run");
     let totals = report.stats.totals();
     let sums = registry.totals();
     let consistent = sums.acquires == totals.acquires

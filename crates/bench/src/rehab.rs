@@ -27,9 +27,11 @@
 use crate::chaos::{self, ChaosApp, ChaosConfig, ModeOutcome, VERSIONS};
 use crate::report::Table;
 use dynfb_core::controller::{ControllerConfig, RehabPolicy};
+use dynfb_core::journal::NullJournal;
 use dynfb_core::metrics::MetricsRegistry;
+use dynfb_core::trace::NullSink;
 use dynfb_sim::{
-    run_app, run_app_metered, AppReport, FaultKind, FaultPlan, RunConfig, SimTime, Window,
+    run_app, run_app_flight_recorded, AppReport, FaultKind, FaultPlan, RunConfig, SimTime, Window,
 };
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -100,8 +102,14 @@ pub fn dynamic_run_config(cfg: &ChaosConfig, rehab: RehabPolicy, plan: FaultPlan
 pub fn run_dynamic(cfg: &ChaosConfig, rehab: RehabPolicy, plan: FaultPlan) -> DynamicRun {
     let run = dynamic_run_config(cfg, rehab, plan);
     let mut registry = MetricsRegistry::new();
-    let report =
-        run_app_metered(ChaosApp::new(cfg.iters), &run, &mut registry).expect("rehab dynamic run");
+    let report = run_app_flight_recorded(
+        ChaosApp::new(cfg.iters),
+        &run,
+        &mut NullSink,
+        &mut NullJournal,
+        &mut registry,
+    )
+    .expect("rehab dynamic run");
     DynamicRun { report, registry }
 }
 

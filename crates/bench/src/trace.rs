@@ -25,8 +25,10 @@ use crate::chaos::{
 };
 use crate::engine::{Engine, Filter, Job};
 use crate::report::Table;
+use dynfb_core::journal::NullJournal;
+use dynfb_core::metrics::NoMetrics;
 use dynfb_core::trace::{chrome_trace_json, RingBuffer, TraceEvent, TracedEvent};
-use dynfb_sim::run_app_traced;
+use dynfb_sim::run_app_flight_recorded;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -55,8 +57,14 @@ pub struct TracedDynamic {
 pub fn run_dynamic_traced(cfg: &ChaosConfig, scenario: &Scenario) -> TracedDynamic {
     let run = chaos::mode_run_config(cfg, scenario, ChaosMode::Dynamic);
     let mut ring = RingBuffer::new(1 << 16);
-    let report =
-        run_app_traced(ChaosApp::new(cfg.iters), &run, &mut ring).expect("traced chaos run");
+    let report = run_app_flight_recorded(
+        ChaosApp::new(cfg.iters),
+        &run,
+        &mut ring,
+        &mut NullJournal,
+        &mut NoMetrics,
+    )
+    .expect("traced chaos run");
     let result = ChaosJobResult {
         outcome: chaos::mode_outcome(ChaosMode::Dynamic.name(), &report),
         adaptation: Some(chaos::analyze_adaptation(&report, scenario.onset)),

@@ -7,9 +7,10 @@
 use dynfb_bench::chaos::{self, scenarios, ChaosApp, ChaosConfig, ChaosMode};
 use dynfb_bench::engine::Engine;
 use dynfb_bench::profile::{oracle_holds, profile_report_with, run_mode_metered};
+use dynfb_core::journal::NullJournal;
 use dynfb_core::metrics::MetricsRegistry;
-use dynfb_core::trace::RingBuffer;
-use dynfb_sim::{run_app_metered, run_app_observed};
+use dynfb_core::trace::{NullSink, RingBuffer};
+use dynfb_sim::run_app_flight_recorded;
 
 fn cfg() -> ChaosConfig {
     ChaosConfig { seed: 11, iters: 900, procs: 4 }
@@ -66,14 +67,25 @@ fn saturated_trace_ring_does_not_lose_lock_metrics() {
 
     let mut ring = RingBuffer::new(1);
     let mut observed = MetricsRegistry::new();
-    let observed_report =
-        run_app_observed(ChaosApp::new(cfg.iters), &run, &mut ring, &mut observed)
-            .expect("observed run");
+    let observed_report = run_app_flight_recorded(
+        ChaosApp::new(cfg.iters),
+        &run,
+        &mut ring,
+        &mut NullJournal,
+        &mut observed,
+    )
+    .expect("observed run");
     assert!(ring.dropped() > 0, "a one-slot ring must saturate");
 
     let mut metered = MetricsRegistry::new();
-    let metered_report =
-        run_app_metered(ChaosApp::new(cfg.iters), &run, &mut metered).expect("metered run");
+    let metered_report = run_app_flight_recorded(
+        ChaosApp::new(cfg.iters),
+        &run,
+        &mut NullSink,
+        &mut NullJournal,
+        &mut metered,
+    )
+    .expect("metered run");
 
     // The drops themselves are accounted: the observed run publishes the
     // exact drop total as a loss counter, which is the one difference a

@@ -16,6 +16,7 @@
 use crate::detector::{Detector, DetectorConfig, DetectorSnapshot};
 use crate::overhead::OverheadSample;
 use crate::rng::mix64;
+use crate::trace::SwitchReason;
 use std::fmt;
 use std::time::Duration;
 
@@ -397,6 +398,142 @@ impl Transition {
             Transition::Sample(p) => p,
             Transition::Produce { policy, .. } => policy,
         }
+    }
+}
+
+/// How an interval ended, besides its measurement: the conditions a driver
+/// observed that change what [`Controller::close_interval`] does with it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CloseFlags {
+    /// The measurement cannot be trusted: a processor crash-stopped during
+    /// the interval.
+    /// The controller is fed an unusable sample, so the interval records
+    /// nothing, and the switch is labelled [`SwitchReason::CrashFallback`].
+    /// A watchdog abort feeds no measurement, so it ignores this flag.
+    pub unusable: bool,
+    /// The stuck-sampling watchdog fired: abort the sampling phase into
+    /// production instead of completing the interval, and report a soft
+    /// failure of the stuck policy.
+    pub watchdog_abort: bool,
+    /// The interval ran far past its deadline. After a *sampling* interval
+    /// completes, this is a soft failure of the sampled policy.
+    pub deadline_miss: bool,
+    /// This policy failed hard (its version panicked): quarantine it. If it
+    /// was running, its interval is cut short and sampling restarts among
+    /// the survivors.
+    pub hard_failure: Option<PolicyId>,
+}
+
+/// An interval that a [`Decision`] closed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClosedInterval {
+    /// Measured total overhead in `[0, 1]` (reported even when the
+    /// controller was fed an unusable sample instead).
+    pub overhead: f64,
+    /// Actual (effective) interval length.
+    pub actual: Duration,
+    /// True if the interval was cut short (watchdog abort, hard failure).
+    pub partial: bool,
+    /// True if the controller was fed the measurement: the interval
+    /// completed and was not flagged unusable.
+    pub measured: bool,
+}
+
+/// One controller decision at a switch point: what the interval close (or
+/// section start) decided, in the form both drivers act on and the trace
+/// and journal are written from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decision {
+    /// Phase before the decision ([`Phase::Idle`] when a section opened).
+    pub before: Phase,
+    /// Phase after the decision.
+    pub after: Phase,
+    /// Policy that ran the closed interval, or the policy that failed hard.
+    pub from: PolicyId,
+    /// Policy the driver runs next. `None` only when a hard failure left no
+    /// runnable policy.
+    pub next: Option<PolicyId>,
+    /// The interval that closed, if one did.
+    pub closed: Option<ClosedInterval>,
+    /// Why the executing policy changed, if the decision is a switch.
+    pub reason: Option<SwitchReason>,
+    /// Health transitions the decision caused, drained from the controller.
+    pub health: Vec<HealthEvent>,
+    /// Chart state at the change-point alarm that ended the closed
+    /// production interval; `Some` exactly when one did.
+    pub chart: Option<DetectorSnapshot>,
+    /// The closed production interval reached its quiescence bound with no
+    /// alarm (event-driven trigger only).
+    pub quiescent: bool,
+}
+
+impl Decision {
+    /// Whether a change-point alarm ended the closed production interval.
+    #[must_use]
+    pub fn alarmed(&self) -> bool {
+        self.chart.is_some()
+    }
+
+    /// The policy switch as `(from, to, reason)`, or `None` when the
+    /// decision is not a switch.
+    #[must_use]
+    pub fn switch(&self) -> Option<(PolicyId, PolicyId, SwitchReason)> {
+        self.reason.map(|reason| (self.from, policy_of(self.after), reason))
+    }
+
+    /// Whether a new interval opened in `after`: closing an interval opens
+    /// the next one, and a section start opens the first.
+    #[must_use]
+    pub fn opened(&self) -> bool {
+        self.closed.is_some() || matches!(self.before, Phase::Idle)
+    }
+}
+
+fn policy_of(phase: Phase) -> PolicyId {
+    match phase {
+        Phase::Idle => 0,
+        Phase::Sampling { policy, .. } | Phase::Production { policy, .. } => policy,
+    }
+}
+
+/// Why the transition `before → after` switched policies: the one place a
+/// [`SwitchReason`] is chosen. The priority list is a hard failure
+/// (`Quarantine`), then an unusable completed interval (`CrashFallback`),
+/// a change-point alarm (`ChangePoint`), a switch into a policy just
+/// rehabilitated (`Rehabilitated`), and last the phase pair itself.
+fn switch_reason(
+    before: Phase,
+    after: Phase,
+    flags: CloseFlags,
+    alarmed: bool,
+    rehabilitated: bool,
+) -> Option<SwitchReason> {
+    if flags.hard_failure.is_some() {
+        return Some(SwitchReason::Quarantine);
+    }
+    let completed = !flags.watchdog_abort;
+    if completed && flags.unusable {
+        return Some(SwitchReason::CrashFallback);
+    }
+    if alarmed {
+        return Some(SwitchReason::ChangePoint);
+    }
+    if rehabilitated {
+        return Some(SwitchReason::Rehabilitated);
+    }
+    match (before, after) {
+        (Phase::Sampling { .. }, Phase::Production { via_cutoff, .. }) => {
+            Some(if flags.watchdog_abort {
+                SwitchReason::WatchdogAbort
+            } else if via_cutoff {
+                SwitchReason::EarlyCutoff
+            } else {
+                SwitchReason::MeasuredBest
+            })
+        }
+        (Phase::Production { .. }, Phase::Sampling { .. }) => Some(SwitchReason::Resample),
+        (Phase::Sampling { .. }, Phase::Sampling { .. }) => Some(SwitchReason::NextSample),
+        _ => None,
     }
 }
 
@@ -1123,6 +1260,116 @@ impl Controller {
     #[must_use]
     pub fn detector_snapshot(&self) -> Option<DetectorSnapshot> {
         self.detector.as_ref().map(Detector::snapshot)
+    }
+
+    /// [`begin_section`](Controller::begin_section) as a [`Decision`]: the
+    /// first sampling interval opens, and any rehabilitation probe the new
+    /// phase scheduled is in its health events.
+    pub fn open_section(&mut self) -> Decision {
+        let before = self.phase;
+        let first = self.begin_section();
+        Decision {
+            before,
+            after: self.phase,
+            from: first,
+            next: Some(first),
+            closed: None,
+            reason: None,
+            health: self.drain_health_events(),
+            chart: None,
+            quiescent: false,
+        }
+    }
+
+    /// Close the current interval at a switch point and decide what runs
+    /// next: the one decision step both drivers take (§4.1).
+    ///
+    /// `sample` and `actual` are the interval's measurement and length;
+    /// `flags` say how it ended. Depending on them the interval is
+    /// completed ([`complete_interval`](Controller::complete_interval),
+    /// then a soft failure on a missed sampling deadline), aborted into
+    /// production (the watchdog, a soft failure of the stuck policy), or
+    /// its policy is quarantined (a hard failure). The alarm, quiescence
+    /// and chart state are read before the transition resets them, and the
+    /// health events it caused are drained into the returned [`Decision`].
+    /// A watchdog abort outside a sampling phase decides nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no section is active.
+    pub fn close_interval(
+        &mut self,
+        sample: OverheadSample,
+        actual: Duration,
+        flags: CloseFlags,
+    ) -> Decision {
+        let before = self.phase;
+        let running = self.current_policy();
+        let overhead = sample.total_overhead();
+        let mut decision = Decision {
+            before,
+            after: before,
+            from: running,
+            next: Some(running),
+            closed: None,
+            reason: None,
+            health: Vec::new(),
+            chart: None,
+            quiescent: false,
+        };
+        if let Some(failed) = flags.hard_failure {
+            decision.from = failed;
+            decision.next = self.quarantine(failed).ok();
+            if decision.next.is_some() && failed == running {
+                // Quarantining the running policy restarted sampling: its
+                // interval was cut short.
+                decision.closed =
+                    Some(ClosedInterval { overhead, actual, partial: true, measured: false });
+            }
+        } else if flags.watchdog_abort {
+            if !before.is_sampling() {
+                return decision;
+            }
+            // The stuck interval overran its target; deduct the overrun
+            // from the next production interval so the cycle keeps the
+            // configured cadence.
+            let overrun = actual.saturating_sub(self.target_interval());
+            self.abort_to_production_carrying(overrun);
+            // With no survivor left the controller degrades internally;
+            // the driver keeps running the safest fallback.
+            decision.next =
+                Some(self.report_soft_failure(running).unwrap_or_else(|_| self.safest_policy()));
+            decision.closed =
+                Some(ClosedInterval { overhead, actual, partial: true, measured: false });
+        } else {
+            let ending_production = before.is_production();
+            let alarmed = ending_production && self.alarm_pending;
+            decision.quiescent = ending_production && self.event_driven() && !alarmed;
+            decision.chart = if alarmed { self.detector_snapshot() } else { None };
+            let fed = if flags.unusable { OverheadSample::default() } else { sample };
+            let mut next = self.complete_interval(fed).policy();
+            if flags.deadline_miss && before.is_sampling() {
+                next = self.report_soft_failure(running).unwrap_or_else(|_| self.safest_policy());
+            }
+            decision.next = Some(next);
+            decision.closed = Some(ClosedInterval {
+                overhead,
+                actual,
+                partial: false,
+                measured: !flags.unusable,
+            });
+        }
+        decision.after = self.phase;
+        decision.health = self.drain_health_events();
+        if decision.next.is_some() {
+            let rehabilitated = decision
+                .health
+                .iter()
+                .any(|e| matches!(e, HealthEvent::Rehabilitated(p) if Some(*p) == decision.next));
+            decision.reason =
+                switch_reason(before, decision.after, flags, decision.alarmed(), rehabilitated);
+        }
+        decision
     }
 }
 

@@ -17,9 +17,9 @@
 //!   [`DecisionKind::Alarm`] for change-point chart alarms; and
 //!   [`DecisionKind::Health`] for quarantine-state transitions. The kinds
 //!   correspond one-to-one with the trace events `PolicySwitch`,
-//!   `ChangePointAlarm` and `PolicyHealth`, which is what lets the
-//!   `dynfb-bench explain` oracle cross-check the journal record-for-record
-//!   against an independently collected trace.
+//!   `ChangePointAlarm` and `PolicyHealth`; [`record_decision`] writes
+//!   both from the same controller decision, and the `dynfb-bench explain`
+//!   oracle cross-checks the journal record-for-record against the trace.
 //! * **Confidence.** The paper's §5 model assumes per-version overheads
 //!   drift with bounded exponential rate `λ` (the `decay` of
 //!   [`crate::theory::Analysis`]). Under that assumption a measurement of
@@ -29,7 +29,7 @@
 //!   drivers (the controller itself keeps no timestamps).
 //! * **Zero cost when disabled.** Drivers are generic over the
 //!   [`JournalSink`]; the default [`NullJournal`] has `ENABLED = false`, so
-//!   every emission site (guarded by `if J::ENABLED`) monomorphizes away
+//!   the journal half of [`record_decision`] monomorphizes away
 //!   exactly like the [`crate::trace::NullSink`] and
 //!   [`crate::metrics::NoMetrics`] paths the perf-smoke CI gate covers.
 //! * **Determinism.** The simulator stamps records with virtual time, so
@@ -37,9 +37,9 @@
 //!   the realtime executor stamps wall-clock offsets, which comparisons
 //!   quarantine with [`strip_wall_clock`].
 
-use crate::controller::{Controller, PolicyId};
+use crate::controller::{Controller, Decision, PolicyId};
 use crate::detector::DetectorSnapshot;
-use crate::trace::SwitchReason;
+use crate::trace::{interval_end_event, phase_start_event, SwitchReason, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -341,77 +341,89 @@ impl EvidenceTracker {
     }
 }
 
-/// Emit the [`DecisionKind::Switch`] record for a controller transition,
-/// mirroring `crate::trace::record_transition_with`: a record is written
-/// exactly when the trace layer would emit a `PolicySwitch` for the same
-/// phase pair and override — the invariant the `explain` oracle checks.
-#[allow(clippy::too_many_arguments)]
-pub fn record_switch<J: JournalSink>(
+/// Write one controller [`Decision`] to both observation channels: the one
+/// emission path behind every decision of both drivers.
+///
+/// The trace gets the decision's health transitions, the change-point
+/// alarm, the closed interval's end, the policy switch and the new
+/// interval's start, in that order. The journal gets the matching
+/// [`DecisionKind::Health`], [`DecisionKind::Alarm`] and
+/// [`DecisionKind::Switch`] records, all carrying one evidence snapshot
+/// taken from `controller` after the decision. Evidence is built only
+/// when the journal is enabled, a `tracker` is attached and the decision
+/// writes a record; a measured interval first refreshes its policy's
+/// measurement age either way.
+pub fn record_decision<S: TraceSink, J: JournalSink>(
+    sink: &mut S,
     journal: &mut J,
+    tracker: Option<&mut EvidenceTracker>,
+    controller: &Controller,
     at: Duration,
-    before: crate::controller::Phase,
-    after: crate::controller::Phase,
-    watchdog_abort: bool,
-    reason_override: Option<SwitchReason>,
-    evidence: Evidence,
+    decision: &Decision,
 ) {
+    if S::ENABLED {
+        for ev in &decision.health {
+            sink.record(at, TraceEvent::PolicyHealth { policy: ev.policy(), state: ev.state() });
+        }
+        if let Some(snap) = decision.chart {
+            sink.record(
+                at,
+                TraceEvent::ChangePointAlarm {
+                    policy: decision.from,
+                    score: snap.score,
+                    threshold: snap.threshold,
+                    observations: snap.observations,
+                },
+            );
+        }
+        if let Some(c) = decision.closed {
+            if let Some(ev) = interval_end_event(decision.before, c.overhead, c.actual, c.partial) {
+                sink.record(at, ev);
+            }
+        }
+        if let Some((from, to, reason)) = decision.switch() {
+            sink.record(at, TraceEvent::PolicySwitch { from, to, reason });
+        }
+        if decision.opened() {
+            if let Some(ev) = phase_start_event(decision.after) {
+                sink.record(at, ev);
+            }
+        }
+    }
     if !J::ENABLED {
         return;
     }
-    let reason =
-        reason_override.or_else(|| crate::trace::switch_reason(before, after, watchdog_abort));
-    if let Some(reason) = reason {
-        let from = phase_policy(before);
-        let to = phase_policy(after);
-        journal.record(DecisionRecord {
-            seq: 0,
-            at,
-            kind: DecisionKind::Switch { from, to, reason },
-            evidence,
-        });
+    let Some(tracker) = tracker else {
+        return;
+    };
+    let closed = decision.closed;
+    if closed.is_some_and(|c| c.measured) {
+        tracker.note_measurement(decision.from, at);
     }
-}
-
-/// Emit [`DecisionKind::Health`] records for drained controller health
-/// events, mirroring `crate::trace::record_health_events`.
-pub fn record_health<J: JournalSink>(
-    journal: &mut J,
-    at: Duration,
-    events: &[crate::controller::HealthEvent],
-    evidence: &Evidence,
-) {
-    if !J::ENABLED {
+    let health = decision
+        .health
+        .iter()
+        .map(|ev| DecisionKind::Health { policy: ev.policy(), state: ev.state() });
+    let alarm = decision.alarmed().then_some(DecisionKind::Alarm { policy: decision.from });
+    let switch =
+        decision.switch().map(|(from, to, reason)| DecisionKind::Switch { from, to, reason });
+    let mut kinds = health.chain(alarm).chain(switch).peekable();
+    if kinds.peek().is_none() {
         return;
     }
-    for ev in events {
-        journal.record(DecisionRecord {
-            seq: 0,
-            at,
-            kind: DecisionKind::Health { policy: ev.policy(), state: ev.state() },
-            evidence: evidence.clone(),
-        });
-    }
-}
-
-/// Emit the [`DecisionKind::Alarm`] record for a change-point alarm,
-/// mirroring the trace layer's `ChangePointAlarm` instant.
-pub fn record_alarm<J: JournalSink>(
-    journal: &mut J,
-    at: Duration,
-    policy: PolicyId,
-    evidence: Evidence,
-) {
-    if !J::ENABLED {
-        return;
-    }
-    journal.record(DecisionRecord { seq: 0, at, kind: DecisionKind::Alarm { policy }, evidence });
-}
-
-fn phase_policy(phase: crate::controller::Phase) -> PolicyId {
-    match phase {
-        crate::controller::Phase::Idle => 0,
-        crate::controller::Phase::Sampling { policy, .. }
-        | crate::controller::Phase::Production { policy, .. } => policy,
+    let evidence = tracker.evidence(
+        controller,
+        at,
+        closed.map(|c| c.overhead),
+        closed.map_or(Duration::ZERO, |c| c.actual),
+    );
+    while let Some(kind) = kinds.next() {
+        if kinds.peek().is_none() {
+            // The last record takes the snapshot; the others copy it.
+            journal.record(DecisionRecord { seq: 0, at, kind, evidence });
+            break;
+        }
+        journal.record(DecisionRecord { seq: 0, at, kind, evidence: evidence.clone() });
     }
 }
 
@@ -521,7 +533,6 @@ pub fn strip_wall_clock(ndjson: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::Phase;
 
     fn evidence_fixture() -> Evidence {
         Evidence {
@@ -574,31 +585,6 @@ mod tests {
         // The survivor is the newest record, with its arrival-order seq.
         assert_eq!(buf.latest().unwrap().seq, 6);
         assert_eq!(buf.latest().unwrap().at, Duration::from_nanos(6));
-    }
-
-    #[test]
-    fn switch_record_mirrors_trace_switch_reasons() {
-        let sampling = Phase::Sampling { policy: 0, position: 0, planned: 2 };
-        let prod = Phase::Production { policy: 1, via_cutoff: false };
-        let mut buf = JournalBuffer::new(8);
-        // A production→production pair is not a switch: no record.
-        record_switch(&mut buf, Duration::ZERO, prod, prod, true, None, Evidence::default());
-        assert!(buf.is_empty());
-        // Sampling→production is, and the override wins over the inferred
-        // reason.
-        record_switch(
-            &mut buf,
-            Duration::from_micros(1),
-            sampling,
-            prod,
-            false,
-            Some(SwitchReason::CrashFallback),
-            evidence_fixture(),
-        );
-        match buf.latest().unwrap().kind {
-            DecisionKind::Switch { from: 0, to: 1, reason: SwitchReason::CrashFallback } => {}
-            other => panic!("unexpected kind {other:?}"),
-        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   overhead in `[0, 1]`.
 //! * [`controller`] — the phase state machine of §4: interval bookkeeping,
 //!   policy selection, periodic resampling, and the early cut-off / policy
-//!   ordering optimizations of §4.5. The controller is *driven* by a runtime
+//!   ordering optimizations of §4.5. [`controller::Controller::close_interval`]
+//!   is the one decision step both drivers take at a switch point. The controller is *driven* by a runtime
 //!   (either the discrete-event simulator in `dynfb-sim` or the real-thread
 //!   executor in [`realtime`]) and never reads clocks itself, which makes it
 //!   deterministic and directly testable.
@@ -56,10 +57,8 @@
 //!   [`journal::DecisionRecord`] with its full evidence snapshot — the
 //!   measured overhead vector with [`theory`]-derived confidences, the
 //!   detector chart state, and per-policy health — behind a zero-cost
-//!   [`journal::JournalSink`].
-//! * [`serve`] — a dependency-free blocking HTTP exporter serving
-//!   `GET /metrics` (Prometheus text), `GET /snapshot` (stable JSON) and
-//!   `GET /decisions` (NDJSON journal tail) for live realtime runs.
+//!   [`journal::JournalSink`]. [`journal::record_decision`] writes each
+//!   decision to the trace and the journal.
 //!
 //! ## Quick start
 //!
@@ -99,7 +98,6 @@ pub mod overhead;
 pub mod realtime;
 pub mod repset;
 pub mod rng;
-pub mod serve;
 pub mod theory;
 pub mod trace;
 

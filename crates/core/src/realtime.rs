@@ -55,14 +55,12 @@
 //! ```
 
 use crate::controller::{
-    ConfigError, Controller, ControllerConfig, HealthEvent, Phase, PolicyId, QuarantineError,
+    CloseFlags, ConfigError, Controller, ControllerConfig, Decision, HealthEvent, Phase, PolicyId,
 };
-use crate::journal::{
-    self, DecisionKind, DecisionRecord, EvidenceTracker, JournalSink, NullJournal,
-};
+use crate::journal::{record_decision, EvidenceTracker, JournalSink, NullJournal};
 use crate::metrics::{LockMetrics, LockTable};
 use crate::overhead::{OverheadCounters, OverheadSample};
-use crate::trace::{self, NullSink, SwitchReason, TraceEvent, TraceSink};
+use crate::trace::{NullSink, TraceEvent, TraceSink};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -475,9 +473,9 @@ pub struct ExecutionReport {
     /// Production intervals that ran to the quiescence bound without an
     /// alarm (event-driven trigger only).
     pub resample_quiescent: u64,
-    /// Per-lock profile snapshot, indexed by lock id — empty unless the run
-    /// went through [`AdaptiveExecutor::run_profiled`]. Wall-clock
-    /// quantities with saturating accounting: counts are exact (every
+    /// Per-lock profile snapshot, indexed by lock id — empty unless a lock
+    /// table was passed to [`AdaptiveExecutor::run_flight_recorded`].
+    /// Wall-clock quantities with saturating accounting: counts are exact (every
     /// operation through [`ProfiledMutex::lock_profiled`] is recorded), but
     /// durations are measured timestamps, not modeled costs.
     pub lock_profile: Vec<LockMetrics>,
@@ -580,6 +578,11 @@ impl SwitchGate {
             st.active -= 1;
             true
         }
+    }
+
+    /// Workers still registered.
+    fn active(&self) -> usize {
+        lock(&self.state).active
     }
 
     /// Permanently release the gate: wake all waiters, refuse future
@@ -691,12 +694,17 @@ impl AdaptiveExecutor {
         workload: &W,
         num_items: usize,
     ) -> Result<ExecutionReport, ExecError> {
-        self.run_impl(workload, num_items, NullSink, NullJournal, None)
+        self.run_flight_recorded(workload, num_items, &mut NullSink, &mut NullJournal, None)
     }
 
-    /// Like [`run`](AdaptiveExecutor::run), but snapshots `table` into the
-    /// report's [`lock_profile`](ExecutionReport::lock_profile) when the
-    /// run completes.
+    /// [`run`](AdaptiveExecutor::run) with the observation channels
+    /// attached: the adaptation timeline into `sink` and every controller
+    /// decision, with its evidence snapshot, into `journal`, both stamped
+    /// with wall-clock offsets from the start of the run; and, with a
+    /// `table`, its per-lock profile in the report's
+    /// [`lock_profile`](ExecutionReport::lock_profile). Pass [`NullSink`]
+    /// or [`NullJournal`] for a channel you do not attach; they
+    /// monomorphize it away.
     ///
     /// The workload must route its lock operations through
     /// [`ProfiledMutex::lock_profiled`] with the *same* table for the
@@ -708,85 +716,19 @@ impl AdaptiveExecutor {
     /// # Errors
     ///
     /// Same as [`run`](AdaptiveExecutor::run).
-    pub fn run_profiled<W: AdaptiveWorkload>(
-        &self,
-        workload: &W,
-        num_items: usize,
-        table: &LockTable,
-    ) -> Result<ExecutionReport, ExecError> {
-        self.run_impl(workload, num_items, NullSink, NullJournal, Some(table))
-    }
-
-    /// Like [`run`](AdaptiveExecutor::run), but records the adaptation
-    /// timeline into `sink`, stamped with wall-clock offsets from the start
-    /// of the run. Pass a [`crate::trace::RingBuffer`] to collect the
-    /// events; [`run`](AdaptiveExecutor::run) itself uses a [`NullSink`],
-    /// which monomorphizes all tracing away.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](AdaptiveExecutor::run).
-    pub fn run_traced<W: AdaptiveWorkload, S: TraceSink + Send>(
-        &self,
-        workload: &W,
-        num_items: usize,
-        sink: &mut S,
-    ) -> Result<ExecutionReport, ExecError> {
-        self.run_impl(workload, num_items, sink, NullJournal, None)
-    }
-
-    /// Like [`run`](AdaptiveExecutor::run), but records every controller
-    /// decision — switches, change-point alarms, health transitions,
-    /// quarantines — with its full evidence snapshot into `journal`,
-    /// stamped with wall-clock offsets from the start of the run. Pass a
-    /// [`crate::journal::JournalBuffer`] (or a
-    /// [`crate::serve::SharedJournal`] for live telemetry export);
-    /// [`run`](AdaptiveExecutor::run) itself uses a [`NullJournal`], which
-    /// monomorphizes all journaling away.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](AdaptiveExecutor::run).
-    pub fn run_journaled<W: AdaptiveWorkload, J: JournalSink + Send>(
-        &self,
-        workload: &W,
-        num_items: usize,
-        journal: &mut J,
-    ) -> Result<ExecutionReport, ExecError> {
-        self.run_impl(workload, num_items, NullSink, journal, None)
-    }
-
-    /// The full flight-recorder configuration: adaptation timeline into
-    /// `sink`, decision journal into `journal`, per-lock profile from
-    /// `table` — all three observation channels at once.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](AdaptiveExecutor::run).
     pub fn run_flight_recorded<W, S, J>(
         &self,
         workload: &W,
         num_items: usize,
         sink: &mut S,
         journal: &mut J,
-        table: &LockTable,
+        table: Option<&LockTable>,
     ) -> Result<ExecutionReport, ExecError>
     where
         W: AdaptiveWorkload,
         S: TraceSink + Send,
         J: JournalSink + Send,
     {
-        self.run_impl(workload, num_items, sink, journal, Some(table))
-    }
-
-    fn run_impl<W: AdaptiveWorkload, S: TraceSink + Send, J: JournalSink + Send>(
-        &self,
-        workload: &W,
-        num_items: usize,
-        mut sink: S,
-        journal: J,
-        table: Option<&LockTable>,
-    ) -> Result<ExecutionReport, ExecError> {
         if workload.num_versions() != self.config.controller.num_policies {
             return Err(ExecError::VersionMismatch {
                 workload: workload.num_versions(),
@@ -795,7 +737,7 @@ impl AdaptiveExecutor {
         }
         let mut controller =
             Controller::try_new(self.config.controller.clone()).map_err(ExecError::Controller)?;
-        let first = controller.begin_section();
+        let mut evidence = EvidenceTracker::new(self.config.controller.num_policies);
         if S::ENABLED {
             sink.record(
                 Duration::ZERO,
@@ -804,13 +746,14 @@ impl AdaptiveExecutor {
                     workers: self.config.workers,
                 },
             );
-            trace::record_phase_start(&mut sink, Duration::ZERO, controller.phase());
         }
+        let open = controller.open_section();
+        record_decision(sink, journal, Some(&mut evidence), &controller, Duration::ZERO, &open);
         let now = Instant::now();
         let shared = Shared {
             next_item: AtomicUsize::new(0),
             num_items,
-            policy: AtomicUsize::new(first),
+            policy: AtomicUsize::new(controller.current_policy()),
             switch_flag: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             completed: AtomicUsize::new(0),
@@ -831,7 +774,7 @@ impl AdaptiveExecutor {
                 rehab_log: Vec::new(),
                 sink,
                 journal,
-                evidence: EvidenceTracker::new(self.config.controller.num_policies),
+                evidence,
             }),
             costs: self.config.costs,
         };
@@ -959,13 +902,14 @@ impl AdaptiveExecutor {
         shared: &Shared<S, J>,
         policy: PolicyId,
     ) {
-        let survivor = {
+        // Read before the control lock: the gate leader takes gate state
+        // before control, so the reverse order could deadlock.
+        let active = shared.gate.active();
+        let next = {
             let mut control = lock(&shared.control);
-            let current = match control.controller.phase() {
-                Phase::Idle => None,
-                Phase::Sampling { policy, .. } | Phase::Production { policy, .. } => Some(policy),
-            };
-            if control.controller.is_quarantined(policy) && current != Some(policy) {
+            if control.controller.is_quarantined(policy)
+                && control.controller.current_policy() != policy
+            {
                 // Another worker already handled this version; retry under
                 // whatever policy is now current. (A quarantined version
                 // that is *current* is a backoff probe whose panic must be
@@ -974,54 +918,14 @@ impl AdaptiveExecutor {
                 return;
             }
             control.quarantine_log.push(policy);
-            let survivor = control.controller.quarantine(policy);
-            if survivor.is_ok() {
-                // The interrupted interval's measurements are poisoned;
-                // restart interval bookkeeping from here.
-                control.interval_start = Instant::now();
-                control.snapshot = shared.instruments.snapshot();
-                control.signal_at = control.interval_start;
-                control.signal_snapshot = control.snapshot;
-            }
-            let health = control.controller.drain_health_events();
-            if S::ENABLED || J::ENABLED {
-                let at = control.run_start.elapsed();
-                if S::ENABLED {
-                    trace::record_health_events(&mut control.sink, at, &health);
-                    if let Ok(next) = survivor {
-                        control.sink.record(
-                            at,
-                            TraceEvent::PolicySwitch {
-                                from: policy,
-                                to: next,
-                                reason: SwitchReason::Quarantine,
-                            },
-                        );
-                    }
-                }
-                if J::ENABLED {
-                    let ev =
-                        control.evidence.evidence(&control.controller, at, None, Duration::ZERO);
-                    journal::record_health(&mut control.journal, at, &health, &ev);
-                    if let Ok(next) = survivor {
-                        control.journal.record(DecisionRecord {
-                            seq: 0,
-                            at,
-                            kind: DecisionKind::Switch {
-                                from: policy,
-                                to: next,
-                                reason: SwitchReason::Quarantine,
-                            },
-                            evidence: ev,
-                        });
-                    }
-                }
-            }
-            survivor
+            let flags = CloseFlags { hard_failure: Some(policy), ..CloseFlags::default() };
+            // The interrupted interval's measurements are poisoned; the
+            // decision ends it and a fresh interval starts from here.
+            shared.close(&mut control, Instant::now(), active, flags).next
         };
-        match survivor {
-            Ok(next) => shared.policy.store(next, Ordering::Release),
-            Err(_) => {
+        match next {
+            Some(next) => shared.policy.store(next, Ordering::Release),
+            None => {
                 shared.aborted.store(true, Ordering::Release);
                 // Release any workers parked at the gate; lock order matters:
                 // the gate leader takes gate-state before control, so the
@@ -1036,121 +940,76 @@ impl AdaptiveExecutor {
             let mut control = lock(&shared.control);
             let now = Instant::now();
             let actual = now - control.interval_start;
-            let counters = shared.instruments.snapshot();
-            let delta = counters.since(&control.snapshot);
-            // Execution time across all processors: the *measured* elapsed
-            // interval times the workers still registered at the gate (late
-            // in a run some have exited; normalizing by the configured pool
-            // size would dilute the overhead of the survivors).
-            let sample = shared.costs.interval_sample(delta, actual, active);
-            let phase = control.controller.phase();
-            let policy = control.controller.current_policy();
-            let at = now - control.run_start;
-            let overhead = sample.total_overhead();
-            control.trace.push(PhaseRecord { at, phase, policy, overhead, actual });
-            // Event-driven bookkeeping must be read before the transition
-            // resets the controller's per-phase detector state.
-            let ending_production = phase.is_production();
-            let alarmed = ending_production && control.controller.alarm_pending();
-            let quiescent = ending_production && control.controller.event_driven() && !alarmed;
-            let chart = if alarmed { control.controller.detector_snapshot() } else { None };
-            if alarmed {
-                control.alarms += 1;
-            }
-            if quiescent {
-                control.quiescent += 1;
-            }
-            let transition = control.controller.complete_interval(sample);
-            let mut next = transition.policy();
             // A sampling interval that ran far past its deadline is evidence
             // against the sampled version (it may be wedged rather than
-            // merely slow): feed it to the health machine as a soft failure.
-            let missed = phase.is_sampling()
-                && self.config.deadline_miss_factor.is_some_and(|k| {
-                    actual > control.controller.config().target_sampling.saturating_mul(k)
-                });
-            if missed {
-                next = match control.controller.report_soft_failure(policy) {
-                    Ok(p) => p,
-                    // Every version is quarantined: degrade to the safest
-                    // one rather than wedging (soft failures still make
-                    // progress, unlike panics).
-                    Err(QuarantineError::NoSurvivor) => control.controller.safest_policy(),
-                    Err(QuarantineError::OutOfRange { .. }) => next,
-                };
+            // merely slow): the controller takes it as a soft failure.
+            let target = control.controller.config().target_sampling;
+            let flags = CloseFlags {
+                deadline_miss: self
+                    .config
+                    .deadline_miss_factor
+                    .is_some_and(|k| actual > target.saturating_mul(k)),
+                ..CloseFlags::default()
+            };
+            if S::ENABLED {
+                let at = now - control.run_start;
+                control.sink.record(at, TraceEvent::BarrierSync { arrived: active });
             }
-            shared.policy.store(next, Ordering::Release);
+            let decision = shared.close(&mut control, now, active, flags);
+            if let Some(next) = decision.next {
+                shared.policy.store(next, Ordering::Release);
+            }
+            shared.switch_flag.store(false, Ordering::Release);
+        });
+    }
+}
+
+impl<S: TraceSink, J: JournalSink> Shared<S, J> {
+    /// Close the current interval at `now`, under the control lock:
+    /// measure it, take the controller's [`Decision`], record it in the
+    /// report, the trace and the journal, and start the next interval's
+    /// bookkeeping when one opened. `active` is the number of workers that
+    /// executed the interval.
+    fn close(
+        &self,
+        control: &mut ControlState<S, J>,
+        now: Instant,
+        active: usize,
+        flags: CloseFlags,
+    ) -> Decision {
+        let actual = now - control.interval_start;
+        let at = now - control.run_start;
+        let counters = self.instruments.snapshot();
+        // Execution time across all processors: the *measured* elapsed
+        // interval times the workers still registered at the gate (late
+        // in a run some have exited; normalizing by the configured pool
+        // size would dilute the overhead of the survivors).
+        let sample = self.costs.interval_sample(counters.since(&control.snapshot), actual, active);
+        let decision = control.controller.close_interval(sample, actual, flags);
+        if let Some(closed) = decision.closed.filter(|c| !c.partial) {
+            let (phase, policy, overhead) = (decision.before, decision.from, closed.overhead);
+            control.trace.push(PhaseRecord { at, phase, policy, overhead, actual });
+        }
+        if decision.alarmed() {
+            control.alarms += 1;
+        }
+        if decision.quiescent {
+            control.quiescent += 1;
+        }
+        for ev in &decision.health {
+            if let HealthEvent::Rehabilitated(p) = ev {
+                control.rehab_log.push(*p);
+            }
+        }
+        if decision.opened() {
             control.interval_start = now;
             control.snapshot = counters;
             control.signal_at = now;
             control.signal_snapshot = counters;
-            shared.switch_flag.store(false, Ordering::Release);
-            let health = control.controller.drain_health_events();
-            for ev in &health {
-                if let HealthEvent::Rehabilitated(p) = ev {
-                    control.rehab_log.push(*p);
-                }
-            }
-            if S::ENABLED || J::ENABLED {
-                let after = control.controller.phase();
-                // A change-point alarm is why this production interval
-                // ended early; otherwise a switch into a policy that just
-                // earned its way back from quarantine is labeled with the
-                // rehabilitation reason.
-                let reason = if alarmed {
-                    Some(SwitchReason::ChangePoint)
-                } else {
-                    health
-                        .iter()
-                        .any(|e| matches!(e, HealthEvent::Rehabilitated(p) if *p == next))
-                        .then_some(SwitchReason::Rehabilitated)
-                };
-                if S::ENABLED {
-                    control.sink.record(at, TraceEvent::BarrierSync { arrived: active });
-                    trace::record_health_events(&mut control.sink, at, &health);
-                    if let Some(snap) = chart {
-                        control.sink.record(
-                            at,
-                            TraceEvent::ChangePointAlarm {
-                                policy,
-                                score: snap.score,
-                                threshold: snap.threshold,
-                                observations: snap.observations,
-                            },
-                        );
-                    }
-                    trace::record_transition_with(
-                        &mut control.sink,
-                        at,
-                        phase,
-                        overhead,
-                        actual,
-                        false,
-                        after,
-                        false,
-                        reason,
-                    );
-                }
-                if J::ENABLED {
-                    control.evidence.note_measurement(policy, at);
-                    let ev =
-                        control.evidence.evidence(&control.controller, at, Some(overhead), actual);
-                    journal::record_health(&mut control.journal, at, &health, &ev);
-                    if chart.is_some() {
-                        journal::record_alarm(&mut control.journal, at, policy, ev.clone());
-                    }
-                    journal::record_switch(
-                        &mut control.journal,
-                        at,
-                        phase,
-                        after,
-                        false,
-                        reason,
-                        ev,
-                    );
-                }
-            }
-        });
+        }
+        let ControlState { sink, journal, evidence, controller, .. } = control;
+        record_decision(sink, journal, Some(evidence), controller, at, &decision);
+        decision
     }
 }
 
@@ -1288,7 +1147,9 @@ mod tests {
     fn profiled_run_attributes_all_lock_activity_within_bounds() {
         let table = LockTable::new(2);
         let w = TwoLocks { slots: [ProfiledMutex::new(0), ProfiledMutex::new(0)], table: &table };
-        let report = exec(3).run_profiled(&w, 4_000, &table).expect("no panics");
+        let report = exec(3)
+            .run_flight_recorded(&w, 4_000, &mut NullSink, &mut NullJournal, Some(&table))
+            .expect("no panics");
         assert_eq!(report.items_processed, 4_000);
         let profile = &report.lock_profile;
         assert_eq!(profile.len(), 2);
@@ -1571,7 +1432,9 @@ mod fault_tests {
             ..ExecutorConfig::default()
         });
         let mut ring = crate::trace::RingBuffer::new(4096);
-        let report = exec.run_traced(&Sluggish, 2_000, &mut ring).expect("completes");
+        let report = exec
+            .run_flight_recorded(&Sluggish, 2_000, &mut ring, &mut NullJournal, None)
+            .expect("completes");
         assert_eq!(report.items_processed, 2_000);
         // Version 0 blows every 800µs deadline by sleeping 5ms per item, so
         // the health machine must have at least put it on notice.

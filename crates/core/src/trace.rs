@@ -5,7 +5,7 @@
 //! timeline a first-class artifact: the drivers (the discrete-event
 //! simulator runtime in `dynfb-sim` and the real-thread executor in
 //! [`crate::realtime`]) emit [`TraceEvent`]s into a [`TraceSink`] at every
-//! controller transition.
+//! controller decision, through [`crate::journal::record_decision`].
 //!
 //! * **Timestamps** are [`Duration`]s from the start of the run. The
 //!   simulator stamps events with *virtual* time, so its traces are
@@ -353,129 +353,6 @@ pub fn phase_start_event(phase: Phase) -> Option<TraceEvent> {
     }
 }
 
-/// Why the transition `before → after` switched policies, or `None` when
-/// it is not a switch (e.g. a production-phase watchdog no-op).
-#[must_use]
-pub fn switch_reason(before: Phase, after: Phase, watchdog_abort: bool) -> Option<SwitchReason> {
-    match (before, after) {
-        (Phase::Sampling { .. }, Phase::Production { via_cutoff, .. }) => Some(if watchdog_abort {
-            SwitchReason::WatchdogAbort
-        } else if via_cutoff {
-            SwitchReason::EarlyCutoff
-        } else {
-            SwitchReason::MeasuredBest
-        }),
-        (Phase::Production { .. }, Phase::Sampling { .. }) => Some(SwitchReason::Resample),
-        (Phase::Sampling { .. }, Phase::Sampling { .. }) => Some(SwitchReason::NextSample),
-        _ => None,
-    }
-}
-
-/// Record the end of an interval without a following transition (used for
-/// the partial interval cut off by the end of a section).
-pub fn record_interval_end<S: TraceSink>(
-    sink: &mut S,
-    at: Duration,
-    phase: Phase,
-    overhead: f64,
-    actual: Duration,
-    partial: bool,
-) {
-    if !S::ENABLED {
-        return;
-    }
-    if let Some(ev) = interval_end_event(phase, overhead, actual, partial) {
-        sink.record(at, ev);
-    }
-}
-
-/// Record the start of a phase (section begin, or post-quarantine restart).
-pub fn record_phase_start<S: TraceSink>(sink: &mut S, at: Duration, phase: Phase) {
-    if !S::ENABLED {
-        return;
-    }
-    if let Some(ev) = phase_start_event(phase) {
-        sink.record(at, ev);
-    }
-}
-
-/// Record a full controller transition: the completed interval, the policy
-/// switch (with its reason), and the start of the next interval. `before`
-/// and `after` are the controller phases around `complete_interval` (or
-/// `abort_to_production` when `watchdog_abort` is set).
-#[allow(clippy::too_many_arguments)]
-pub fn record_transition<S: TraceSink>(
-    sink: &mut S,
-    at: Duration,
-    before: Phase,
-    overhead: f64,
-    actual: Duration,
-    partial: bool,
-    after: Phase,
-    watchdog_abort: bool,
-) {
-    record_transition_with(
-        sink,
-        at,
-        before,
-        overhead,
-        actual,
-        partial,
-        after,
-        watchdog_abort,
-        None,
-    );
-}
-
-/// [`record_transition`] with an explicit [`SwitchReason`] override, for
-/// switches whose cause the phase pair cannot express (a crash fallback, a
-/// rehabilitated policy re-entering rotation).
-#[allow(clippy::too_many_arguments)]
-pub fn record_transition_with<S: TraceSink>(
-    sink: &mut S,
-    at: Duration,
-    before: Phase,
-    overhead: f64,
-    actual: Duration,
-    partial: bool,
-    after: Phase,
-    watchdog_abort: bool,
-    reason_override: Option<SwitchReason>,
-) {
-    if !S::ENABLED {
-        return;
-    }
-    record_interval_end(sink, at, before, overhead, actual, partial);
-    if let Some(reason) = reason_override.or_else(|| switch_reason(before, after, watchdog_abort)) {
-        let (from, to) = (policy_of(before), policy_of(after));
-        sink.record(at, TraceEvent::PolicySwitch { from, to, reason });
-    }
-    record_phase_start(sink, at, after);
-}
-
-/// Record drained controller health events (see
-/// `dynfb_core::controller::Controller::drain_health_events`) as
-/// [`TraceEvent::PolicyHealth`] instants.
-pub fn record_health_events<S: TraceSink>(
-    sink: &mut S,
-    at: Duration,
-    events: &[crate::controller::HealthEvent],
-) {
-    if !S::ENABLED {
-        return;
-    }
-    for ev in events {
-        sink.record(at, TraceEvent::PolicyHealth { policy: ev.policy(), state: ev.state() });
-    }
-}
-
-fn policy_of(phase: Phase) -> usize {
-    match phase {
-        Phase::Idle => 0,
-        Phase::Sampling { policy, .. } | Phase::Production { policy, .. } => policy,
-    }
-}
-
 /// Microseconds with nanosecond precision, as Chrome trace `ts` expects.
 fn ts_us(d: Duration) -> String {
     let ns = d.as_nanos();
@@ -578,10 +455,6 @@ pub fn chrome_trace_json<'e>(
 mod tests {
     use super::*;
 
-    fn sampling(policy: usize) -> Phase {
-        Phase::Sampling { policy, position: policy, planned: 3 }
-    }
-
     #[test]
     fn null_sink_is_statically_disabled() {
         const { assert!(!NullSink::ENABLED) };
@@ -621,79 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn transition_emits_end_switch_start_in_order() {
+    fn chrome_export_renders_health_and_switch_reasons() {
         let mut ring = RingBuffer::new(16);
-        let before = sampling(0);
-        let after = Phase::Production { policy: 2, via_cutoff: false };
-        record_transition(
-            &mut ring,
-            Duration::from_micros(10),
-            before,
-            0.25,
-            Duration::from_micros(10),
-            false,
-            after,
-            false,
+        let at = Duration::from_micros(1);
+        ring.record(
+            at,
+            TraceEvent::PolicySwitch { from: 0, to: 1, reason: SwitchReason::CrashFallback },
         );
-        let events: Vec<TraceEvent> = ring.into_events().into_iter().map(|e| e.event).collect();
-        assert_eq!(
-            events,
-            vec![
-                TraceEvent::SamplingEnd {
-                    policy: 0,
-                    overhead: 0.25,
-                    actual: Duration::from_micros(10),
-                    partial: false,
-                },
-                TraceEvent::PolicySwitch { from: 0, to: 2, reason: SwitchReason::MeasuredBest },
-                TraceEvent::ProductionStart { policy: 2, via_cutoff: false },
-            ]
-        );
-    }
-
-    #[test]
-    fn switch_reasons_cover_the_transition_matrix() {
-        let prod = |p| Phase::Production { policy: p, via_cutoff: false };
-        let cut = Phase::Production { policy: 1, via_cutoff: true };
-        assert_eq!(switch_reason(sampling(0), prod(1), false), Some(SwitchReason::MeasuredBest));
-        assert_eq!(switch_reason(sampling(0), cut, false), Some(SwitchReason::EarlyCutoff));
-        assert_eq!(switch_reason(sampling(0), prod(0), true), Some(SwitchReason::WatchdogAbort));
-        assert_eq!(switch_reason(sampling(0), sampling(1), false), Some(SwitchReason::NextSample));
-        assert_eq!(switch_reason(prod(1), sampling(0), false), Some(SwitchReason::Resample));
-        assert_eq!(switch_reason(prod(1), prod(1), true), None);
-        assert_eq!(switch_reason(Phase::Idle, sampling(0), false), None);
-    }
-
-    #[test]
-    fn reason_overrides_and_health_events_render() {
-        use crate::controller::HealthEvent;
-        let mut ring = RingBuffer::new(16);
-        record_transition_with(
-            &mut ring,
-            Duration::from_micros(1),
-            sampling(0),
-            0.1,
-            Duration::from_micros(1),
-            true,
-            Phase::Production { policy: 1, via_cutoff: false },
-            false,
-            Some(SwitchReason::CrashFallback),
-        );
-        record_health_events(
-            &mut ring,
-            Duration::from_micros(2),
-            &[
-                HealthEvent::Quarantined { policy: 1, strikes: 1, until_phase: 3 },
-                HealthEvent::Rehabilitated(2),
-            ],
-        );
-        let events: Vec<&TraceEvent> = ring.iter().map(|e| &e.event).collect();
-        assert!(events.contains(&&TraceEvent::PolicySwitch {
-            from: 0,
-            to: 1,
-            reason: SwitchReason::CrashFallback,
-        }));
-        assert!(events.contains(&&TraceEvent::PolicyHealth { policy: 1, state: "quarantined" }));
+        ring.record(at, TraceEvent::PolicyHealth { policy: 2, state: "healthy" });
         let json = chrome_trace_json("x", ring.iter());
         assert!(json.contains("crash-fallback"), "{json}");
         assert!(json.contains("health p2=healthy"), "{json}");

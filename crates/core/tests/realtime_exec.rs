@@ -3,8 +3,9 @@
 //! under a 2-policy toy workload.
 
 use dynfb_core::controller::ControllerConfig;
+use dynfb_core::journal::NullJournal;
 use dynfb_core::realtime::{
-    AdaptiveExecutor, AdaptiveWorkload, ExecutorConfig, Instruments, ProfiledMutex,
+    AdaptiveExecutor, AdaptiveWorkload, ExecutionReport, ExecutorConfig, Instruments, ProfiledMutex,
 };
 use dynfb_core::trace::{RingBuffer, SwitchReason, TraceEvent, TracedEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,6 +73,83 @@ fn exec_intervals(workers: usize, sampling: Duration, production: Duration) -> A
     })
 }
 
+/// Every interval End closes the matching open Start (same phase kind and
+/// policy), no Start opens inside another interval, and the first interval
+/// is a sampling one.
+fn assert_intervals_nest(events: &[TracedEvent]) {
+    let mut open: Option<(bool, usize)> = None;
+    let mut first_start = None;
+    for e in events {
+        match e.event {
+            TraceEvent::SamplingStart { policy, .. } => {
+                assert_eq!(open, None, "nested interval start: {events:?}");
+                open = Some((true, policy));
+                first_start.get_or_insert((true, policy));
+            }
+            TraceEvent::ProductionStart { policy, .. } => {
+                assert_eq!(open, None, "nested interval start: {events:?}");
+                open = Some((false, policy));
+                first_start.get_or_insert((false, policy));
+            }
+            TraceEvent::SamplingEnd { policy, .. } => {
+                assert_eq!(open.take(), Some((true, policy)), "{events:?}");
+            }
+            TraceEvent::ProductionEnd { policy, .. } => {
+                assert_eq!(open.take(), Some((false, policy)), "{events:?}");
+            }
+            _ => {}
+        }
+    }
+    assert!(matches!(first_start, Some((true, _))), "a run begins by sampling: {first_start:?}");
+}
+
+/// The non-partial End events agree 1:1 with the report's phase records.
+/// Partial Ends are intervals a quarantine cut short, which the report does
+/// not list; unless `allow_partial` is set, there must be none. Returns how
+/// many End events there are in all.
+fn assert_ends_match_the_report(
+    events: &[TracedEvent],
+    report: &ExecutionReport,
+    allow_partial: bool,
+) -> usize {
+    let ends: Vec<&TracedEvent> = events
+        .iter()
+        .filter(|e| {
+            matches!(e.event, TraceEvent::SamplingEnd { .. } | TraceEvent::ProductionEnd { .. })
+        })
+        .collect();
+    let complete: Vec<&TracedEvent> = ends
+        .iter()
+        .copied()
+        .filter(|e| {
+            !matches!(
+                e.event,
+                TraceEvent::SamplingEnd { partial: true, .. }
+                    | TraceEvent::ProductionEnd { partial: true, .. }
+            )
+        })
+        .collect();
+    if !allow_partial {
+        assert_eq!(complete.len(), ends.len(), "unexpected partial End: {events:?}");
+    }
+    assert_eq!(complete.len(), report.trace.len(), "{events:?}\nvs {:?}", report.trace);
+    for (e, r) in complete.iter().zip(&report.trace) {
+        assert_eq!(e.at, r.at);
+        match e.event {
+            TraceEvent::SamplingEnd { policy, overhead, actual, .. } => {
+                assert!(r.phase.is_sampling());
+                assert_eq!((policy, overhead, actual), (r.policy, r.overhead, r.actual));
+            }
+            TraceEvent::ProductionEnd { policy, overhead, actual, .. } => {
+                assert!(r.phase.is_production());
+                assert_eq!((policy, overhead, actual), (r.policy, r.overhead, r.actual));
+            }
+            _ => unreachable!(),
+        }
+    }
+    ends.len()
+}
+
 /// Full lifecycle: construct, run to completion, inspect the report.
 #[test]
 fn lifecycle_runs_to_completion_and_reports() {
@@ -129,7 +207,9 @@ fn trace_events_are_ordered_and_consistent_with_the_report() {
     let workers = 2;
     let w = Toy::new();
     let mut ring = RingBuffer::new(1 << 16);
-    let report = exec(workers).run_traced(&w, 150_000, &mut ring).expect("no panics");
+    let report = exec(workers)
+        .run_flight_recorded(&w, 150_000, &mut ring, &mut NullJournal, None)
+        .expect("no panics");
     assert_eq!(ring.dropped(), 0);
     let events: Vec<TracedEvent> = ring.into_events();
 
@@ -146,62 +226,9 @@ fn trace_events_are_ordered_and_consistent_with_the_report() {
         assert!(w[1].at >= w[0].at, "{:?} then {:?}", w[0], w[1]);
     }
 
-    // Every interval End closes the matching open Start (same phase kind
-    // and policy), and the first phase started is sampling.
-    let mut open: Option<(bool, usize)> = None;
-    let mut first_start = None;
-    for e in &events {
-        match e.event {
-            TraceEvent::SamplingStart { policy, .. } => {
-                assert_eq!(open, None, "nested interval start: {events:?}");
-                open = Some((true, policy));
-                first_start.get_or_insert((true, policy));
-            }
-            TraceEvent::ProductionStart { policy, .. } => {
-                assert_eq!(open, None, "nested interval start: {events:?}");
-                open = Some((false, policy));
-                first_start.get_or_insert((false, policy));
-            }
-            TraceEvent::SamplingEnd { policy, .. } => {
-                assert_eq!(open.take(), Some((true, policy)), "{events:?}");
-            }
-            TraceEvent::ProductionEnd { policy, .. } => {
-                assert_eq!(open.take(), Some((false, policy)), "{events:?}");
-            }
-            _ => {}
-        }
-    }
-    assert!(matches!(first_start, Some((true, _))), "a run begins by sampling: {first_start:?}");
-
-    // End events agree 1:1 with the report's phase records.
-    let ends: Vec<&TracedEvent> = events
-        .iter()
-        .filter(|e| {
-            matches!(e.event, TraceEvent::SamplingEnd { .. } | TraceEvent::ProductionEnd { .. })
-        })
-        .collect();
-    assert_eq!(ends.len(), report.trace.len(), "{events:?}\nvs {:?}", report.trace);
-    assert!(!ends.is_empty(), "long run must complete intervals");
-    for (e, r) in ends.iter().zip(&report.trace) {
-        assert_eq!(e.at, r.at);
-        match e.event {
-            TraceEvent::SamplingEnd { policy, overhead, actual, partial } => {
-                assert!(r.phase.is_sampling());
-                assert_eq!(policy, r.policy);
-                assert_eq!(overhead, r.overhead);
-                assert_eq!(actual, r.actual);
-                assert!(!partial);
-            }
-            TraceEvent::ProductionEnd { policy, overhead, actual, partial } => {
-                assert!(r.phase.is_production());
-                assert_eq!(policy, r.policy);
-                assert_eq!(overhead, r.overhead);
-                assert_eq!(actual, r.actual);
-                assert!(!partial);
-            }
-            _ => unreachable!(),
-        }
-    }
+    assert_intervals_nest(&events);
+    let ends = assert_ends_match_the_report(&events, &report, false);
+    assert!(ends > 0, "long run must complete intervals");
 
     // Every completed interval was applied at a barrier rendezvous of
     // between 1 and `workers` workers (exited workers deregister).
@@ -212,7 +239,7 @@ fn trace_events_are_ordered_and_consistent_with_the_report() {
             _ => None,
         })
         .collect();
-    assert_eq!(syncs.len(), ends.len(), "{events:?}");
+    assert_eq!(syncs.len(), ends, "{events:?}");
     assert!(syncs.iter().all(|&a| a >= 1 && a <= workers), "{syncs:?}");
 }
 
@@ -229,8 +256,7 @@ fn journal_mirrors_the_trace_and_wall_clock_strips_cleanly() {
     let w = Toy::new();
     let mut ring = RingBuffer::new(1 << 16);
     let mut journal = JournalBuffer::new(1 << 16);
-    let table = dynfb_core::metrics::LockTable::new(1);
-    exec(2).run_flight_recorded(&w, 150_000, &mut ring, &mut journal, &table).expect("no panics");
+    exec(2).run_flight_recorded(&w, 150_000, &mut ring, &mut journal, None).expect("no panics");
     assert_eq!(journal.dropped(), 0);
     assert_eq!(ring.dropped(), 0);
 
@@ -287,9 +313,8 @@ fn quarantine_emits_a_policy_switch_event() {
     std::panic::set_hook(Box::new(|_| {}));
     let mut ring = RingBuffer::new(1 << 14);
     let mut journal = JournalBuffer::new(1 << 14);
-    let table = dynfb_core::metrics::LockTable::new(1);
     let report = exec(2)
-        .run_flight_recorded(&HalfBroken, 2_000, &mut ring, &mut journal, &table)
+        .run_flight_recorded(&HalfBroken, 2_000, &mut ring, &mut journal, None)
         .expect("version 1 survives");
     std::panic::set_hook(prev);
     assert_eq!(report.items_processed, 2_000);
@@ -310,4 +335,82 @@ fn quarantine_emits_a_policy_switch_event() {
     let journaled = journaled.unwrap_or_else(|| panic!("no quarantine decision journaled"));
     let broken = journaled.evidence.policies.iter().find(|p| p.policy == 0);
     assert_eq!(broken.map(|p| p.health), Some("quarantined"), "{journaled:?}");
+}
+
+/// A version panic goes through the same decision path as a completed
+/// interval: the interrupted interval ends (partial), the quarantine switch
+/// follows, and the next phase opens with a Start, so the timeline still
+/// nests; the journal records the same switch the trace shows.
+#[test]
+fn quarantine_ends_the_interrupted_interval_and_opens_the_next() {
+    struct HalfBroken;
+    impl AdaptiveWorkload for HalfBroken {
+        fn num_versions(&self) -> usize {
+            2
+        }
+        fn run_item(&self, version: usize, _item: usize, _ins: &Instruments) {
+            item_work();
+            assert_ne!(version, 0, "version 0 is broken");
+        }
+    }
+    use dynfb_core::journal::{DecisionKind, JournalBuffer, JournalSink};
+
+    // Keep the expected panics out of the test output.
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let mut ring = RingBuffer::new(1 << 16);
+    let mut journal = JournalBuffer::new(1 << 16);
+    let report = exec(2)
+        .run_flight_recorded(&HalfBroken, 20_000, &mut ring, &mut journal, None)
+        .expect("version 1 survives");
+    std::panic::set_hook(prev);
+    assert_eq!(report.items_processed, 20_000);
+    assert_eq!((ring.dropped(), journal.dropped()), (0, 0));
+    let events: Vec<TracedEvent> = ring.into_events();
+
+    // The quarantine switch sits between the interrupted interval's
+    // partial End and the Start of the phase among the survivors, all at
+    // one instant.
+    let q = events
+        .iter()
+        .position(|e| {
+            matches!(e.event, TraceEvent::PolicySwitch { reason: SwitchReason::Quarantine, .. })
+        })
+        .unwrap_or_else(|| panic!("no quarantine switch: {events:?}"));
+    assert!(q > 0 && q + 1 < events.len(), "{events:?}");
+    assert!(
+        matches!(events[q - 1].event, TraceEvent::SamplingEnd { policy: 0, partial: true, .. }),
+        "quarantine not preceded by the interrupted End: {:?}",
+        events[q - 1]
+    );
+    assert_eq!(
+        events[q].event,
+        TraceEvent::PolicySwitch { from: 0, to: 1, reason: SwitchReason::Quarantine }
+    );
+    assert!(
+        matches!(events[q + 1].event, TraceEvent::SamplingStart { policy: 1, .. }),
+        "{:?}",
+        events[q + 1]
+    );
+    assert!(events[q - 1].at == events[q].at && events[q].at == events[q + 1].at);
+
+    assert_intervals_nest(&events);
+    assert_ends_match_the_report(&events, &report, true);
+
+    // Journal switches agree 1:1 with the trace's, quarantine included.
+    let switches: Vec<(std::time::Duration, DecisionKind)> = journal
+        .iter()
+        .filter(|r| matches!(r.kind, DecisionKind::Switch { .. }))
+        .map(|r| (r.at, r.kind))
+        .collect();
+    let traced: Vec<(std::time::Duration, DecisionKind)> = events
+        .iter()
+        .filter_map(|e| match e.event {
+            TraceEvent::PolicySwitch { from, to, reason } => {
+                Some((e.at, DecisionKind::Switch { from, to, reason }))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(switches, traced);
 }

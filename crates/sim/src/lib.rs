@@ -38,9 +38,8 @@ pub use faults::{ChaosProfile, FaultEvent, FaultKind, FaultPlan, FaultPlanError,
 pub use machine::{LockUsage, Machine, SimError};
 pub use process::{BarrierId, LockId, ProcCtx, ProcId, Process, Step};
 pub use runtime::{
-    run_app, run_app_flight_recorded, run_app_journaled, run_app_metered, run_app_observed,
-    run_app_ref, run_app_traced, AppReport, OpSink, PlanEntry, RunConfig, RunMode, SampleRecord,
-    SectionExecution, SectionKind, SimApp,
+    run_app, run_app_flight_recorded, run_app_ref, AppReport, OpSink, PlanEntry, RunConfig,
+    RunMode, SampleRecord, SectionExecution, SectionKind, SimApp,
 };
 pub use stats::{MachineStats, ProcStats};
 pub use time::SimTime;

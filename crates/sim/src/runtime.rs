@@ -32,11 +32,10 @@ use crate::machine::{Machine, SimError};
 use crate::process::{BarrierId, LockId, ProcCtx, Process, Step};
 use crate::stats::{MachineStats, ProcStats};
 use crate::time::SimTime;
-use dynfb_core::controller::{Controller, ControllerConfig, HealthEvent, Phase};
-use dynfb_core::journal::{self, EvidenceTracker, JournalSink, NullJournal};
+use dynfb_core::controller::{CloseFlags, Controller, ControllerConfig, HealthEvent, Phase};
+use dynfb_core::journal::{record_decision, EvidenceTracker, JournalSink, NullJournal};
 use dynfb_core::metrics::{MetricsSink, NoMetrics};
-use dynfb_core::overhead::OverheadSample;
-use dynfb_core::trace::{self, NullSink, SwitchReason, TraceEvent, TraceSink};
+use dynfb_core::trace::{interval_end_event, NullSink, SwitchReason, TraceEvent, TraceSink};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -584,7 +583,7 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
                     }
                     RunMode::Dynamic(cfg) | RunMode::DynamicAsync(cfg) => {
                         let saved = self.controllers.remove(&entry.name);
-                        let (mut ctl, carry, tracker) = match saved {
+                        let (mut ctl, carry, mut tracker) = match saved {
                             Some(s) => (s.controller, s.carry, s.evidence),
                             None => {
                                 let mut cfg = cfg.clone();
@@ -623,39 +622,19 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
                                 )
                             }
                             _ => {
-                                let first = ctl.begin_section();
                                 // Starting a sampling phase may schedule a
                                 // rehabilitation probe.
-                                let health = ctl.drain_health_events();
-                                self.counts.tally(&health);
-                                if S::ENABLED {
-                                    trace::record_health_events(
-                                        &mut self.sink,
-                                        now.as_duration(),
-                                        &health,
-                                    );
-                                    trace::record_phase_start(
-                                        &mut self.sink,
-                                        now.as_duration(),
-                                        ctl.phase(),
-                                    );
-                                }
-                                if J::ENABLED {
-                                    if let Some(tr) = tracker.as_ref() {
-                                        let ev = tr.evidence(
-                                            &ctl,
-                                            now.as_duration(),
-                                            None,
-                                            Duration::ZERO,
-                                        );
-                                        journal::record_health(
-                                            &mut self.journal,
-                                            now.as_duration(),
-                                            &health,
-                                            &ev,
-                                        );
-                                    }
-                                }
+                                let open = ctl.open_section();
+                                self.counts.tally(&open.health);
+                                record_decision(
+                                    &mut self.sink,
+                                    &mut self.journal,
+                                    tracker.as_mut(),
+                                    &ctl,
+                                    now.as_duration(),
+                                    &open,
+                                );
+                                let first = ctl.current_policy();
                                 (iters, first, Some(ctl), now, observed, totals, tracker)
                             }
                         }
@@ -696,216 +675,77 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
         Ok(())
     }
 
-    /// Complete the current interval: measure, record, and ask the
-    /// controller for the next policy. Shared by the synchronous (barrier
-    /// leader) and asynchronous (detecting processor) switch paths.
-    fn apply_transition(
+    /// Close the current interval at `now`: measure it, record it, and
+    /// apply the controller's decision. Shared by the synchronous (barrier
+    /// leader) and asynchronous (detecting processor) switch paths, and by
+    /// the stuck-sampling watchdog (`watchdog_abort`), whose interval never
+    /// completed because a timer fault starved expiry detection: it is
+    /// recorded as partial and the controller is forced into production
+    /// with the best measurement so far.
+    fn close_interval(
         &mut self,
         now: SimTime,
         observed: SimTime,
         totals: ProcStats,
         crashed: usize,
+        watchdog_abort: bool,
     ) {
-        let Some(active) = self.active.as_mut() else {
+        let Driver { active, sink, journal, counts, .. } = self;
+        let Some(active) = active.as_mut() else {
             return;
         };
-        if let Some(ctl) = active.controller.as_mut() {
-            // Saturating: async-mode timestamps are observed times, which
-            // fault injection can make non-monotone.
-            let actual = now.saturating_since(active.interval_start);
-            let sample = totals.since(&active.snapshot).overhead_sample();
-            let before = ctl.phase();
-            let overhead = sample.total_overhead();
-            // A processor that crash-stopped mid-interval poisons the
-            // measurement: its in-flight work vanished and its held locks
-            // were force-released at zero cost. Report the raw number for
-            // post-mortems but feed the controller an unusable sample, so
-            // the interval records nothing (crash fallback) rather than a
-            // deceptively low overhead.
-            let poisoned = crashed > active.crashed_snapshot;
-            let finished = ctl.current_policy();
+        let Some(ctl) = active.controller.as_mut() else {
+            return;
+        };
+        // Saturating: async-mode timestamps are observed times, which
+        // fault injection can make non-monotone.
+        let actual = now.saturating_since(active.interval_start);
+        let sample = totals.since(&active.snapshot).overhead_sample();
+        // A processor that crash-stopped mid-interval poisons the
+        // measurement: its in-flight work vanished and its held locks were
+        // force-released at zero cost. The raw number is still recorded for
+        // post-mortems, but the controller is fed an unusable sample (crash
+        // fallback) rather than a deceptively low overhead.
+        let poisoned = crashed > active.crashed_snapshot;
+        let flags = CloseFlags { unusable: poisoned, watchdog_abort, ..CloseFlags::default() };
+        let decision = ctl.close_interval(sample, actual, flags);
+        if let Some(closed) = decision.closed {
             active.records.push(SampleRecord {
                 at: now,
-                phase: before,
-                version: finished,
-                overhead,
+                phase: decision.before,
+                version: decision.from,
+                overhead: closed.overhead,
                 actual,
-                partial: false,
+                partial: closed.partial,
                 poisoned,
             });
-            // Event-driven bookkeeping must be read before the transition
-            // resets the controller's per-phase detector state.
-            let ending_production = before.is_production();
-            let alarmed = ending_production && ctl.alarm_pending();
-            let quiescent = ending_production && ctl.event_driven() && !alarmed;
-            let chart = if alarmed { ctl.detector_snapshot() } else { None };
-            let fed = if poisoned { OverheadSample::default() } else { sample };
-            let transition = ctl.complete_interval(fed);
-            let next = transition.policy();
-            active.version = next;
-            active.interval_start = now;
-            active.interval_start_observed = observed;
-            active.snapshot = totals;
-            active.signal_at = observed;
-            active.signal_snapshot = totals;
-            active.crashed_snapshot = crashed;
-            let health = ctl.drain_health_events();
-            self.counts.tally(&health);
-            if poisoned {
-                self.counts.crash_fallbacks += 1;
-            }
-            if alarmed {
-                self.counts.resample_alarms += 1;
-            }
-            if quiescent {
-                self.counts.resample_quiescent += 1;
-            }
-            if S::ENABLED || J::ENABLED {
-                let reason = if poisoned {
-                    Some(SwitchReason::CrashFallback)
-                } else if alarmed {
-                    Some(SwitchReason::ChangePoint)
-                } else if health
-                    .iter()
-                    .any(|e| matches!(e, HealthEvent::Rehabilitated(p) if *p == next))
-                {
-                    Some(SwitchReason::Rehabilitated)
-                } else {
-                    None
-                };
-                if S::ENABLED {
-                    trace::record_health_events(&mut self.sink, now.as_duration(), &health);
-                    if let Some(snap) = chart {
-                        self.sink.record(
-                            now.as_duration(),
-                            TraceEvent::ChangePointAlarm {
-                                policy: active.records.last().map_or(0, |r| r.version),
-                                score: snap.score,
-                                threshold: snap.threshold,
-                                observations: snap.observations,
-                            },
-                        );
-                    }
-                    trace::record_transition_with(
-                        &mut self.sink,
-                        now.as_duration(),
-                        before,
-                        overhead,
-                        actual,
-                        false,
-                        ctl.phase(),
-                        false,
-                        reason,
-                    );
-                }
-                if J::ENABLED {
-                    if let Some(tr) = active.evidence.as_mut() {
-                        if !poisoned {
-                            tr.note_measurement(finished, now.as_duration());
-                        }
-                        let ev = tr.evidence(ctl, now.as_duration(), Some(overhead), actual);
-                        journal::record_health(&mut self.journal, now.as_duration(), &health, &ev);
-                        if chart.is_some() {
-                            journal::record_alarm(
-                                &mut self.journal,
-                                now.as_duration(),
-                                finished,
-                                ev.clone(),
-                            );
-                        }
-                        journal::record_switch(
-                            &mut self.journal,
-                            now.as_duration(),
-                            before,
-                            ctl.phase(),
-                            false,
-                            reason,
-                            ev,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Watchdog escape hatch: the current sampling interval never
-    /// completed (a timer fault starved expiry detection). Record it as
-    /// partial and force the controller into production with the best
-    /// measurement so far.
-    fn apply_abort(&mut self, now: SimTime, observed: SimTime, totals: ProcStats, crashed: usize) {
-        let Some(active) = self.active.as_mut() else {
-            return;
-        };
-        if let Some(ctl) = active.controller.as_mut() {
-            if ctl.phase().is_sampling() {
-                let actual = now.saturating_since(active.interval_start);
-                let sample = totals.since(&active.snapshot).overhead_sample();
-                let before = ctl.phase();
-                let stuck = ctl.current_policy();
-                let overhead = sample.total_overhead();
-                active.records.push(SampleRecord {
-                    at: now,
-                    phase: before,
-                    version: stuck,
-                    overhead,
-                    actual,
-                    partial: true,
-                    poisoned: crashed > active.crashed_snapshot,
-                });
-                // The stuck interval overran its target; deduct the overrun
-                // from the next production interval so the cycle keeps the
-                // configured cadence and the driver's timer math agrees
-                // with `target_interval`.
-                let overrun = actual.saturating_sub(ctl.target_interval());
-                let transition = ctl.abort_to_production_carrying(overrun);
-                active.version = transition.policy();
+            if watchdog_abort {
                 // A watchdog abort is a soft failure of the policy whose
                 // interval never completed: first offense marks it suspect,
-                // repeat offenses quarantine it (with backoff
-                // rehabilitation under the default RehabPolicy). With no
-                // survivor left the controller degrades internally; the
-                // simulation keeps running the safest fallback.
-                self.counts.watchdog_soft_failures += 1;
-                active.version =
-                    ctl.report_soft_failure(stuck).unwrap_or_else(|_| ctl.safest_policy());
-                let health = ctl.drain_health_events();
-                self.counts.tally(&health);
-                if S::ENABLED {
-                    trace::record_health_events(&mut self.sink, now.as_duration(), &health);
-                    trace::record_transition(
-                        &mut self.sink,
-                        now.as_duration(),
-                        before,
-                        overhead,
-                        actual,
-                        true,
-                        ctl.phase(),
-                        true,
-                    );
-                }
-                if J::ENABLED {
-                    if let Some(tr) = active.evidence.as_mut() {
-                        let ev = tr.evidence(ctl, now.as_duration(), Some(overhead), actual);
-                        journal::record_health(&mut self.journal, now.as_duration(), &health, &ev);
-                        journal::record_switch(
-                            &mut self.journal,
-                            now.as_duration(),
-                            before,
-                            ctl.phase(),
-                            true,
-                            None,
-                            ev,
-                        );
-                    }
-                }
+                // repeat offenses quarantine it.
+                counts.watchdog_soft_failures += 1;
             }
-            active.interval_start = now;
-            active.interval_start_observed = observed;
-            active.snapshot = totals;
-            active.signal_at = observed;
-            active.signal_snapshot = totals;
-            active.crashed_snapshot = crashed;
         }
+        if decision.opened() {
+            active.version = decision.next.unwrap_or(active.version);
+        }
+        counts.tally(&decision.health);
+        if decision.reason == Some(SwitchReason::CrashFallback) {
+            counts.crash_fallbacks += 1;
+        }
+        if decision.alarmed() {
+            counts.resample_alarms += 1;
+        }
+        if decision.quiescent {
+            counts.resample_quiescent += 1;
+        }
+        record_decision(sink, journal, active.evidence.as_mut(), ctl, now.as_duration(), &decision);
+        active.interval_start = now;
+        active.interval_start_observed = observed;
+        active.snapshot = totals;
+        active.signal_at = observed;
+        active.signal_snapshot = totals;
+        active.crashed_snapshot = crashed;
     }
 
     /// Leader maintenance at a barrier: apply a pending switch and/or
@@ -931,11 +771,8 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
                 let arrived = self.num_procs - crashed;
                 self.sink.record(now.as_duration(), TraceEvent::BarrierSync { arrived });
             }
-            if self.active.as_ref().is_some_and(|a| a.abort_requested) {
-                self.apply_abort(now, observed, totals, crashed);
-            } else {
-                self.apply_transition(now, observed, totals, crashed);
-            }
+            let abort = self.active.as_ref().is_some_and(|a| a.abort_requested);
+            self.close_interval(now, observed, totals, crashed, abort);
             if let Some(active) = self.active.as_mut() {
                 active.switch_requested = false;
                 active.abort_requested = false;
@@ -968,14 +805,11 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
                             poisoned: crashed > active.crashed_snapshot,
                         });
                         if S::ENABLED {
-                            trace::record_interval_end(
-                                &mut self.sink,
-                                now.as_duration(),
-                                ctl.phase(),
-                                overhead,
-                                actual,
-                                true,
-                            );
+                            if let Some(ev) =
+                                interval_end_event(ctl.phase(), overhead, actual, true)
+                            {
+                                self.sink.record(now.as_duration(), ev);
+                            }
                         }
                     }
                     ctl.end_section();
@@ -1168,13 +1002,13 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
                 // rendezvous; the other processors observe the new version
                 // at their next iteration. Timestamped with the observed
                 // time, as the generated code would.
-                driver.apply_transition(t, t, ctx.total_stats(), crashed_count(ctx));
+                driver.close_interval(t, t, ctx.total_stats(), crashed_count(ctx), false);
             } else if let Some(active) = driver.active.as_mut() {
                 active.switch_requested = true;
             }
         } else if stuck {
             if asynchronous {
-                driver.apply_abort(now, t, ctx.total_stats(), crashed_count(ctx));
+                driver.close_interval(now, t, ctx.total_stats(), crashed_count(ctx), true);
             } else if let Some(active) = driver.active.as_mut() {
                 active.switch_requested = true;
                 active.abort_requested = true;
@@ -1267,7 +1101,7 @@ impl<'a, S: TraceSink, J: JournalSink> Process for AppProcess<'a, S, J> {
 /// none implementing a statically requested policy), and any engine error
 /// (deadlock, lock misuse, event-limit overrun).
 pub fn run_app<'a, A: SimApp + 'a>(app: A, config: &RunConfig) -> Result<AppReport, SimError> {
-    run_app_impl(app, config, NullSink, NullJournal, &mut NoMetrics)
+    run_app_flight_recorded(app, config, &mut NullSink, &mut NullJournal, &mut NoMetrics)
 }
 
 /// Like [`run_app`], but borrows the application so the caller can inspect
@@ -1277,88 +1111,22 @@ pub fn run_app<'a, A: SimApp + 'a>(app: A, config: &RunConfig) -> Result<AppRepo
 ///
 /// Same as [`run_app`].
 pub fn run_app_ref<A: SimApp>(app: &mut A, config: &RunConfig) -> Result<AppReport, SimError> {
-    run_app_impl(app, config, NullSink, NullJournal, &mut NoMetrics)
+    run_app_flight_recorded(app, config, &mut NullSink, &mut NullJournal, &mut NoMetrics)
 }
 
-/// Like [`run_app`], but records the adaptation timeline into `sink`.
+/// Like [`run_app`], with the observation channels attached: the
+/// adaptation timeline into `sink`, every controller decision with its
+/// evidence snapshot into `journal`, and every lock event into `metrics`.
+/// Pass [`NullSink`], [`NullJournal`] or [`NoMetrics`] for a channel you do
+/// not attach; each monomorphizes its channel away.
 ///
-/// Events are stamped with *virtual* simulation time, so for a given app +
-/// config the trace is fully deterministic: the same run always produces
-/// the same event stream, byte for byte, regardless of host timing or how
-/// many runs execute concurrently.
-///
-/// # Errors
-///
-/// Same as [`run_app`].
-pub fn run_app_traced<'a, A: SimApp + 'a, S: TraceSink>(
-    app: A,
-    config: &RunConfig,
-    sink: &mut S,
-) -> Result<AppReport, SimError> {
-    run_app_impl(app, config, sink, NullJournal, &mut NoMetrics)
-}
-
-/// Like [`run_app`], but attributes every lock event to `metrics`.
-///
-/// Metrics accumulate directly in the sink — they never pass through the
-/// (droppable) trace ring buffer — and are stamped with virtual-time
-/// quantities at the same accounting sites that update
-/// [`ProcStats`](crate::ProcStats), so for any completed run the per-lock
-/// sums equal the machine aggregates exactly and the resulting profile is
-/// byte-deterministic.
-///
-/// # Errors
-///
-/// Same as [`run_app`].
-pub fn run_app_metered<'a, A: SimApp + 'a, M: MetricsSink>(
-    app: A,
-    config: &RunConfig,
-    metrics: &mut M,
-) -> Result<AppReport, SimError> {
-    run_app_impl(app, config, NullSink, NullJournal, metrics)
-}
-
-/// Like [`run_app`], with both a trace sink and a metrics sink attached.
-///
-/// The two observation channels are independent: a saturated trace ring
-/// drops events, but per-lock metrics still accumulate exactly.
-///
-/// # Errors
-///
-/// Same as [`run_app`].
-pub fn run_app_observed<'a, A: SimApp + 'a, S: TraceSink, M: MetricsSink>(
-    app: A,
-    config: &RunConfig,
-    sink: &mut S,
-    metrics: &mut M,
-) -> Result<AppReport, SimError> {
-    run_app_impl(app, config, sink, NullJournal, metrics)
-}
-
-/// Like [`run_app`], but records every controller decision — switches,
-/// change-point alarms, policy-health transitions — with its full evidence
-/// snapshot into `journal`.
-///
-/// Records are stamped with *virtual* simulation time, so for a given app +
-/// config the journal is fully deterministic: the same run always yields
-/// the same decision stream, byte for byte, regardless of host timing or
-/// worker count.
-///
-/// # Errors
-///
-/// Same as [`run_app`].
-pub fn run_app_journaled<'a, A: SimApp + 'a, J: JournalSink>(
-    app: A,
-    config: &RunConfig,
-    journal: &mut J,
-) -> Result<AppReport, SimError> {
-    run_app_impl(app, config, NullSink, journal, &mut NoMetrics)
-}
-
-/// Like [`run_app`], with trace sink, decision journal, and metrics sink
-/// all attached — the full flight-recorder configuration used by the
-/// `explain` replay harness to cross-check journal records against the
-/// trace oracle.
+/// Trace events and journal records are stamped with *virtual* simulation
+/// time, so for a given app + config both streams are byte-deterministic,
+/// regardless of host timing or how many runs execute concurrently.
+/// Metrics accumulate directly in their sink — never through the
+/// (droppable) trace ring buffer — at the same accounting sites that
+/// update [`ProcStats`](crate::ProcStats), so for any completed run the
+/// per-lock sums equal the machine aggregates exactly.
 ///
 /// # Errors
 ///
@@ -1368,16 +1136,6 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink,
     config: &RunConfig,
     sink: &mut S,
     journal: &mut J,
-    metrics: &mut M,
-) -> Result<AppReport, SimError> {
-    run_app_impl(app, config, sink, journal, metrics)
-}
-
-fn run_app_impl<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink, M: MetricsSink>(
-    app: A,
-    config: &RunConfig,
-    mut sink: S,
-    journal: J,
     metrics: &mut M,
 ) -> Result<AppReport, SimError> {
     if config.num_procs == 0 {
@@ -1959,7 +1717,9 @@ mod fault_tests {
         let cfg =
             RunConfig::dynamic(4, ctl()).with_faults(crash_proc3_at(Duration::from_micros(300)));
         let mut metrics = MetricsRegistry::new();
-        let report = run_app_metered(Mini, &cfg, &mut metrics).expect("completes despite crash");
+        let report =
+            run_app_flight_recorded(Mini, &cfg, &mut NullSink, &mut NullJournal, &mut metrics)
+                .expect("completes despite crash");
         let work = report.section("work").next().unwrap();
         // The survivors finish every iteration.
         assert_eq!(work.iterations, 600);
@@ -1979,7 +1739,8 @@ mod fault_tests {
         let cfg =
             RunConfig::dynamic(4, ctl()).with_faults(crash_proc3_at(Duration::from_micros(300)));
         let mut ring = RingBuffer::new(8192);
-        run_app_traced(Mini, &cfg, &mut ring).expect("runs");
+        run_app_flight_recorded(Mini, &cfg, &mut ring, &mut NullJournal, &mut NoMetrics)
+            .expect("runs");
         assert!(
             ring.iter().any(|e| matches!(
                 e.event,
@@ -2007,7 +1768,9 @@ mod fault_tests {
         // reaches the health machine.
         let cfg = RunConfig::dynamic(4, ctl()).with_faults(frozen_clock()).with_watchdog(3);
         let mut ring = RingBuffer::new(8192);
-        let report = run_app_traced(Mini, &cfg, &mut ring).expect("runs");
+        let report =
+            run_app_flight_recorded(Mini, &cfg, &mut ring, &mut NullJournal, &mut NoMetrics)
+                .expect("runs");
         assert_eq!(report.section("work").next().unwrap().iterations, 600);
         let states: Vec<&str> = ring
             .iter()

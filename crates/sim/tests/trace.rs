@@ -3,12 +3,14 @@
 //! contract.
 
 use dynfb_core::controller::{ControllerConfig, PolicyOrdering};
+use dynfb_core::journal::NullJournal;
+use dynfb_core::metrics::NoMetrics;
 use dynfb_core::overhead::OverheadCounters;
 use dynfb_core::realtime::InstrumentCosts;
 use dynfb_core::trace::{chrome_trace_json, RingBuffer, TraceEvent, TracedEvent};
 use dynfb_sim::{
-    run_app, run_app_traced, FaultKind, FaultPlan, LockId, Machine, OpSink, PlanEntry, ProcStats,
-    RunConfig, SimApp, Window,
+    run_app, run_app_flight_recorded, FaultKind, FaultPlan, LockId, Machine, OpSink, PlanEntry,
+    ProcStats, RunConfig, SimApp, Window,
 };
 use std::time::Duration;
 
@@ -62,7 +64,9 @@ fn frozen_clock() -> FaultPlan {
 
 fn traced(cfg: &RunConfig) -> (dynfb_sim::AppReport, Vec<TracedEvent>) {
     let mut ring = RingBuffer::new(1 << 16);
-    let report = run_app_traced(Mini::default(), cfg, &mut ring).expect("run succeeds");
+    let report =
+        run_app_flight_recorded(Mini::default(), cfg, &mut ring, &mut NullJournal, &mut NoMetrics)
+            .expect("run succeeds");
     assert_eq!(ring.dropped(), 0, "ring buffer truncated the trace");
     (report, ring.into_events())
 }
