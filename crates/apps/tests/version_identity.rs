@@ -290,7 +290,7 @@ fn distinct_block_tables(app: &CompiledApp) -> usize {
 /// that stop sharing unchanged code, compile many more tables than this.
 #[test]
 fn each_function_is_compiled_once() {
-    let want = [("barnes-hut", 25), ("water", 34), ("string", 17), ("plasma", 38)];
+    let want = [("barnes-hut", 27), ("water", 36), ("string", 18), ("plasma", 39)];
     let mut got = Vec::new();
     for (name, source, plan) in apps() {
         let app = build(name, source, &plan, &Policy::family(2));

@@ -23,7 +23,7 @@
 //!
 //! Exits nonzero when the native tier is below `--min-ratio` (default
 //! 2.0) times the tree-walker on the full run, or below
-//! `--min-native-ratio` (default 3.5) times the tree-walker on the
+//! `--min-native-ratio` (default 4.0) times the tree-walker on the
 //! executor-only measurement — margins below the measured ratios recorded
 //! in DESIGN.md, so the gates fail only on real regressions. `--tier`
 //! restricts the run to one tier (no gates, no ratios). `--native-tier`
@@ -50,7 +50,7 @@ const USAGE: &str = "usage: vm_throughput [--tier T] [--native-tier T] [--procs 
   --steps N              barnes-hut time steps (default: 2)
   --repeats N            host-timing repeats, best-of (default: 3)
   --min-ratio R          fail unless full-run native/tree throughput >= R (default: 2.0)
-  --min-native-ratio R   fail unless executor-only native/tree >= R (default: 3.5)";
+  --min-native-ratio R   fail unless executor-only native/tree >= R (default: 4.0)";
 
 struct Opts {
     tier: Option<ExecTier>,
@@ -80,7 +80,7 @@ fn parse_opts() -> Opts {
         steps: 2,
         repeats: 3,
         min_ratio: 2.0,
-        min_native_ratio: 3.5,
+        min_native_ratio: 4.0,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {

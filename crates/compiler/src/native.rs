@@ -33,17 +33,54 @@
 //!   for the fuel actually consumed, so the exhaustion point and the
 //!   partial sink match the tree-walker bit-for-bit.
 //!
-//! ## Typed kernels
+//! ## Leaf inlining
+//!
+//! Before blocks are formed, every call to a small, call-free program
+//! function (at most [`INLINE_MAX_INSNS`] instructions; call-free, so
+//! never recursive) is spliced into the caller: the callee's registers
+//! sit right above the caller's frame, the call becomes moves of the
+//! arguments and constants of the other locals' defaults, `LoadThis`
+//! becomes a move from the call's receiver register, and each `Return`
+//! a move into the call's destination plus a jump to the continuation.
+//! The callee's own entry charge comes along unchanged, so the charge
+//! sequence is the tree-walker's. Such a call no longer exits the block
+//! chain or rebuilds a frame. A caller's compiled code therefore embeds
+//! its inlined callees, and [`compile_native_reusing`] compares them bit
+//! for bit before it shares the caller.
+//!
+//! ## Typed kernels and superinstructions
 //!
 //! The mini-language is statically typed, and lowering carries sema's
 //! operand type into every [`Insn::Binary`] and [`Insn::Unary`] as an
 //! [`OpTy`]. Kernel selection keys on `(type, operator, operand shape)`:
 //! f64 `+ - * /`, i64 wrapping `+ - *`, the six comparisons on either,
-//! `Neg`, and `IntToDouble` compile to kernels over untagged operands —
-//! one total read per operand (`Double(x) => x`, anything else NaN; `0`
-//! for i64) and no tag dispatch, no guard, no error path. Reference
-//! `==`/`!=`, the bool operators, and int `/`/`%` (division by zero must
-//! raise) keep the checked, tag-dispatching `binary_op`.
+//! reference and bool `==`/`!=`, `Neg`, and `IntToDouble` compile to
+//! kernels over untagged operands — one total read per operand
+//! (`Double(x) => x`, anything else NaN; `0` for i64) and no tag
+//! dispatch, no guard, no error path. The bool operators and int `/`/`%`
+//! (division by zero must raise) keep the checked, tag-dispatching
+//! `binary_op`.
+//!
+//! Three superinstructions cut the kernel count further:
+//!
+//! * **field operands** — a `FieldGet` whose result only feeds the next
+//!   typed binary becomes that binary's operand (one or both operands may
+//!   be field reads), so `c.mx - this.x` is one kernel;
+//! * **read-modify-write** — `o.f = o.f op x` (a `FieldGet`, a typed
+//!   arithmetic op and a `FieldSet` on the same object) is one kernel;
+//! * **compare-and-branch** — a typed comparison followed by the branch
+//!   that reads it is one kernel, with the block's exit charge folded in.
+//!
+//! Fusion cannot move an error or a charge. Only adjacent ops with no
+//! charge between them fuse, loads are read in program order, and a
+//! fused kernel fails with the first error the separate ops would have
+//! raised. A compare-and-branch kernel debits the exit charge where the
+//! separate ops did, after the comparison and before the branch; only
+//! the comparison's register write moves behind the charge, and a
+//! register is unobservable on the error path. A fused register write is
+//! dropped only where dead-store elimination's backward pass found the
+//! register dead. Jumps are threaded through blocks that have nothing
+//! left but a jump.
 //!
 //! No guard is needed because every way a value enters a register is
 //! typed: typed kernels, typed local defaults, heap and globals that only
@@ -64,10 +101,11 @@
 //! compile-time-constant payloads (which register to return, which
 //! function to call) live in a per-block [`ExitDesc`] side table the
 //! executor consults only when a sentinel comes back; runtime errors park
-//! in the frame (`NativeFrame::err`). Calls terminate blocks so the
-//! executor can re-window the register stack for the callee frame; plain
-//! jumps stay inside the executor's inner loop, which keeps one frame
-//! alive across all of a function's block transitions.
+//! in the frame (`NativeFrame::err`). A call that is not inlined
+//! terminates its block so the executor can re-window the register stack
+//! for the callee frame; plain jumps stay inside the executor's inner
+//! loop, which keeps one frame alive across all of a function's block
+//! transitions.
 //!
 //! ## Instrumentation stays exact
 //!
@@ -95,8 +133,8 @@
 //! programs and run configurations.
 
 use crate::interp::{binary_op, check_args, unary_op, CostModel, ProgramEnv, RuntimeError, Value};
-use crate::vm::{Insn, OpTy, VmFunc, VmModule, NO_REG};
-use dynfb_lang::hir::{BinOp, UnOp};
+use crate::vm::{Insn, OpTy, Reg, VmFunc, VmModule, NO_REG};
+use dynfb_lang::hir::{BinOp, UnOp, MAX_EXTERN_ARITY};
 use dynfb_sim::{LockId, OpSink};
 use std::fmt;
 use std::sync::Arc;
@@ -110,6 +148,14 @@ const RET: u32 = u32::MAX;
 const CALLX: u32 = u32::MAX - 1;
 /// Kernel return sentinel: a runtime error was parked in the frame.
 const ERR: u32 = u32::MAX - 2;
+
+/// The largest callee, in bytecode instructions, whose calls are spliced
+/// into the caller. Only call-free callees qualify.
+const INLINE_MAX_INSNS: usize = 128;
+
+const FIELD_READ: &str = "field read on null/non-object";
+const FIELD_WRITE: &str = "field write on null/non-object";
+const THIS_OUTSIDE: &str = "`this` outside method";
 
 /// The mutable state a fused block executes against: the function's
 /// register window plus the program environment and accounting channels.
@@ -169,7 +215,7 @@ macro_rules! rdop {
             Operand::Imm(v) => v,
             Operand::This => match $fr.this {
                 Some(v) => v,
-                None => return $fr.fail(RuntimeError::new("`this` outside method")),
+                None => return $fr.fail(RuntimeError::new(THIS_OUTSIDE)),
             },
         }
     };
@@ -192,6 +238,14 @@ enum Operand {
     Reg(usize),
     Imm(Value),
     This,
+}
+
+/// A binary operand: a resolved source, or (after field fusion) a field
+/// of the object an operand holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Arg {
+    Op(Operand),
+    Field { obj: Operand, field: usize },
 }
 
 /// Micro-op: one [`Insn`] after operand resolution. Terminators are
@@ -236,12 +290,23 @@ enum MOp {
         dst: usize,
         arr: Operand,
     },
+    /// Operands are [`Arg::Op`] until field fusion folds loads in.
     Binary {
         dst: usize,
         op: BinOp,
         ty: OpTy,
-        lhs: Operand,
-        rhs: Operand,
+        lhs: Arg,
+        rhs: Arg,
+    },
+    /// `obj.set = lhs op rhs` where one operand reads a field of `obj`:
+    /// the read-modify-write superinstruction.
+    FieldRmw {
+        obj: Operand,
+        set: usize,
+        op: BinOp,
+        ty: OpTy,
+        lhs: Arg,
+        rhs: Arg,
     },
     Unary {
         dst: usize,
@@ -334,9 +399,12 @@ impl MOp {
                 op(src);
             }
             MOp::ArrayLen { arr, .. } => op(arr),
-            MOp::Binary { lhs, rhs, .. } => {
-                op(lhs);
-                op(rhs);
+            MOp::Binary { lhs, rhs, .. } | MOp::FieldRmw { lhs, rhs, .. } => {
+                for a in [lhs, rhs] {
+                    match a {
+                        Arg::Op(o) | Arg::Field { obj: o, .. } => op(o),
+                    }
+                }
             }
             MOp::CallHost { args, .. } => {
                 for a in args {
@@ -382,6 +450,17 @@ impl MExit {
             }
             MExit::Return { .. } => {}
             MExit::Call { next, .. } => f(*next),
+        }
+    }
+
+    fn retarget(&mut self, f: impl Fn(u32) -> u32) {
+        match self {
+            MExit::Jump { target: t } | MExit::Call { next: t, .. } => *t = f(*t),
+            MExit::Branch { taken, fall, .. } => {
+                *taken = f(*taken);
+                *fall = f(*fall);
+            }
+            MExit::Return { .. } => {}
         }
     }
 
@@ -431,20 +510,32 @@ enum Val {
 }
 
 /// Forward value-propagation state (copy/const/`this` tracking with
-/// generation counters for invalidation).
+/// generation counters for invalidation). One instance serves every block
+/// of a compile: a register last defined at or before `base`, the clock
+/// when the current block began, holds nothing this block knows about.
+#[derive(Default)]
 struct Prop {
     vals: Vec<Val>,
     gens: Vec<u64>,
     clock: u64,
+    base: u64,
 }
 
 impl Prop {
-    fn new(num_regs: usize) -> Self {
-        Prop { vals: vec![Val::Unknown; num_regs], gens: vec![0; num_regs], clock: 0 }
+    /// Forget every fact (in O(1)) and cover `num_regs` registers.
+    fn begin_block(&mut self, num_regs: usize) {
+        if self.vals.len() < num_regs {
+            self.vals.resize(num_regs, Val::Unknown);
+            self.gens.resize(num_regs, 0);
+        }
+        self.base = self.clock;
     }
 
     /// The best source for reading `reg` right now.
     fn resolve(&self, reg: usize) -> Operand {
+        if self.gens[reg] <= self.base {
+            return Operand::Reg(reg);
+        }
         match self.vals[reg] {
             Val::Imm(v) => Operand::Imm(v),
             Val::This => Operand::This,
@@ -469,44 +560,41 @@ impl Prop {
     }
 }
 
-/// Dense register set for the liveness fixpoint.
-#[derive(Clone, PartialEq)]
-struct RegSet {
+/// `rows` register sets of `w` words each in one flat buffer (one row per
+/// block for the liveness fixpoint).
+#[derive(Default)]
+struct Sets {
+    w: usize,
     bits: Vec<u64>,
 }
 
-impl RegSet {
-    fn new(num_regs: usize) -> Self {
-        RegSet { bits: vec![0; num_regs.div_ceil(64)] }
+impl Sets {
+    fn reset(&mut self, rows: usize, w: usize) {
+        self.w = w;
+        self.bits.clear();
+        self.bits.resize(rows * w, 0);
     }
 
-    fn set(&mut self, i: usize) {
-        self.bits[i / 64] |= 1 << (i % 64);
+    fn row(&self, b: usize) -> &[u64] {
+        &self.bits[b * self.w..(b + 1) * self.w]
     }
 
-    fn clear(&mut self, i: usize) {
-        self.bits[i / 64] &= !(1 << (i % 64));
+    fn row_mut(&mut self, b: usize) -> &mut [u64] {
+        let w = self.w;
+        &mut self.bits[b * w..(b + 1) * w]
     }
+}
 
-    fn get(&self, i: usize) -> bool {
-        self.bits[i / 64] & (1 << (i % 64)) != 0
-    }
+fn has(set: &[u64], i: usize) -> bool {
+    set[i / 64] & (1 << (i % 64)) != 0
+}
 
-    fn union_with(&mut self, o: &RegSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.bits.iter_mut().zip(&o.bits) {
-            let nv = *a | b;
-            changed |= nv != *a;
-            *a = nv;
-        }
-        changed
-    }
+fn add(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1 << (i % 64);
+}
 
-    fn subtract(&mut self, o: &RegSet) {
-        for (a, b) in self.bits.iter_mut().zip(&o.bits) {
-            *a &= !b;
-        }
-    }
+fn remove(set: &mut [u64], i: usize) {
+    set[i / 64] &= !(1 << (i % 64));
 }
 
 /// Compile-time-constant exit payload of one block, consulted by the
@@ -533,6 +621,8 @@ pub struct NativeFunc {
     name: String,
     num_params: usize,
     local_defaults: Vec<Value>,
+    /// Frame size: the function's registers plus room for the callee
+    /// frames spliced into it.
     num_regs: usize,
     /// The compiled blocks, shared by every module that reuses this
     /// function's code (see [`compile_native_reusing`]). The table sits
@@ -603,10 +693,10 @@ pub fn compile_native(module: &VmModule, cost: &CostModel) -> Arc<NativeModule> 
 /// Compile `module`, reusing compiled code from `bases` (pairs of a
 /// source module and its compiled form) for every function that would
 /// compile to the same closures: the function at the same index is
-/// identical in both sources, and every callee it names has the same name
-/// and arity in both. The first
-/// matching base wins; everything else is compiled afresh, so the result
-/// runs exactly like [`compile_native`]`(module, cost)`.
+/// identical in both sources, every callee it inlines is identical too,
+/// and every other callee it names has the same name and arity in both.
+/// The first matching base wins; everything else is compiled afresh, so
+/// the result runs exactly like [`compile_native`]`(module, cost)`.
 ///
 /// A multi-version build compiles its serial module first and every
 /// policy version against it and the versions before it, so each distinct
@@ -626,13 +716,21 @@ pub fn compile_native_reusing(
         assert_eq!(src.funcs.len(), base.funcs.len(), "a base is a module and its compiled form");
         assert_eq!(base.cost, *cost, "reused kernels must charge the same cost model");
     }
+    let leaves = leaf_flags(module);
+    let base_leaves: Vec<Vec<bool>> = bases.iter().map(|(src, _)| leaf_flags(src)).collect();
+    let mut scratch = Scratch::default();
     let funcs = module
         .funcs
         .iter()
         .enumerate()
-        .map(|(i, f)| match bases.iter().find(|(src, _)| same_compiled_code(module, src, i)) {
-            Some((_, base)) => base.funcs[i].clone(),
-            None => compile_func(f, module, cost),
+        .map(|(i, f)| {
+            let base = bases.iter().zip(&base_leaves).find_map(|((src, base), bl)| {
+                same_compiled_code((module, &leaves), (src, bl), i).then_some(base)
+            });
+            match base {
+                Some(base) => base.funcs[i].clone(),
+                None => compile_func(f, module, &leaves, cost, &mut scratch),
+            }
         })
         .collect();
     Arc::new(NativeModule { funcs, cost: *cost })
@@ -640,30 +738,43 @@ pub fn compile_native_reusing(
 
 /// Whether function `i` compiles to the same closures in `a` as in `b`.
 /// The lowered functions must be identical (constants compared by bits, so
-/// `-0.0` differs from `0.0`), and every `Call`/`CheckRecv` target must
-/// have the same name and arity in both modules: the closures embed the
-/// callee's arity (argument gathering) and name (null-receiver message).
-fn same_compiled_code(a: &VmModule, b: &VmModule, i: usize) -> bool {
+/// `-0.0` differs from `0.0`), so must every callee either module would
+/// inline (the caller's closures embed its body), and every other
+/// `Call`/`CheckRecv` target must have the same name and arity in both:
+/// the closures embed the callee's arity (argument gathering) and name
+/// (null-receiver message). Each module comes with its [`leaf_flags`].
+fn same_compiled_code(
+    (a, a_leaves): (&VmModule, &[bool]),
+    (b, b_leaves): (&VmModule, &[bool]),
+    i: usize,
+) -> bool {
     let (Some(f), Some(g)) = (a.funcs.get(i), b.funcs.get(i)) else {
         return false;
     };
-    let same_callee = |func: u32| match (a.funcs.get(func as usize), b.funcs.get(func as usize)) {
-        (Some(x), Some(y)) => x.name == y.name && x.num_params == y.num_params,
-        _ => false,
+    let same_callee = |func: u32| {
+        let k = func as usize;
+        match (a.funcs.get(k), b.funcs.get(k)) {
+            (Some(x), Some(y)) if a_leaves[k] || b_leaves[k] => same_func(x, y),
+            (Some(x), Some(y)) => x.name == y.name && x.num_params == y.num_params,
+            _ => false,
+        }
     };
+    same_func(f, g)
+        && f.code.iter().all(|x| match x {
+            Insn::Call { func, .. } | Insn::CheckRecv { func, .. } => same_callee(*func),
+            _ => true,
+        })
+}
+
+/// Lowered-function equality with constants compared by bits.
+fn same_func(f: &VmFunc, g: &VmFunc) -> bool {
     f.name == g.name
         && f.num_params == g.num_params
         && f.num_regs == g.num_regs
         && f.local_defaults.len() == g.local_defaults.len()
         && f.local_defaults.iter().zip(&g.local_defaults).all(|(x, y)| same_value(*x, *y))
         && f.code.len() == g.code.len()
-        && f.code.iter().zip(&g.code).all(|(x, y)| {
-            same_insn(x, y)
-                && match x {
-                    Insn::Call { func, .. } | Insn::CheckRecv { func, .. } => same_callee(*func),
-                    _ => true,
-                }
-        })
+        && f.code.iter().zip(&g.code).all(|(x, y)| same_insn(x, y))
 }
 
 /// Instruction equality with constants compared by bits. `Const` and
@@ -686,6 +797,189 @@ fn same_value(a: Value, b: Value) -> bool {
     }
 }
 
+/// Per function of `m`: whether calls to it may be spliced into their
+/// callers — small and call-free, hence never recursive.
+fn leaf_flags(m: &VmModule) -> Vec<bool> {
+    m.funcs
+        .iter()
+        .map(|g| {
+            g.code.len() <= INLINE_MAX_INSNS
+                && !g.code.iter().any(|i| matches!(i, Insn::Call { .. }))
+        })
+        .collect()
+}
+
+/// The callee `insn` is spliced from, if it is a call to a leaf (per
+/// `leaves`) whose frame fits above a `caller_regs`-register frame. A free
+/// function that reads `this` keeps its call, and with it the run-time
+/// error.
+fn inline_site<'m>(
+    insn: &Insn,
+    caller_regs: usize,
+    module: &'m VmModule,
+    leaves: &[bool],
+) -> Option<&'m VmFunc> {
+    let Insn::Call { func, recv, .. } = insn else {
+        return None;
+    };
+    let k = *func as usize;
+    let g = &module.funcs[k];
+    let this_ok = *recv != NO_REG || !g.code.iter().any(|i| matches!(i, Insn::LoadThis { .. }));
+    (leaves[k] && this_ok && caller_regs + g.num_regs < usize::from(NO_REG)).then_some(g)
+}
+
+/// Write `f`'s code with every inlinable call spliced in (module docs,
+/// "Leaf inlining") to `out` and return the frame size it needs, or return
+/// `None` without touching `out` when `f` has no such call.
+fn inline_leaves(
+    f: &VmFunc,
+    module: &VmModule,
+    leaves: &[bool],
+    out: &mut Vec<Insn>,
+) -> Option<usize> {
+    let site = |i: &Insn| inline_site(i, f.num_regs, module, leaves);
+    if !f.code.iter().any(|i| site(i).is_some()) {
+        return None;
+    }
+    let at = |i: usize| u32::try_from(i).expect("code fits u32");
+    // Every spliced callee frame starts right above the caller's frame.
+    let off = f.num_regs;
+    let callee_reg = |r: usize| Reg::try_from(r + off).expect("checked by inline_site");
+    out.clear();
+    let mut num_regs = off;
+    // `pos[i]`: where the caller's instruction `i` landed in `out`.
+    let mut pos = Vec::with_capacity(f.code.len() + 1);
+    let mut jumps = Vec::new();
+    let mut cpos = Vec::new();
+    let mut inner = Vec::new();
+    let mut returns = Vec::new();
+    for insn in &f.code {
+        pos.push(out.len());
+        let (Some(g), &Insn::Call { dst, base, recv, .. }) = (site(insn), insn) else {
+            if matches!(insn, Insn::Jump { .. } | Insn::JumpIfFalse { .. }) {
+                jumps.push(out.len());
+            }
+            out.push(insn.clone());
+            continue;
+        };
+        num_regs = num_regs.max(off + g.num_regs);
+        // A fresh callee frame: the arguments, then the other locals'
+        // defaults.
+        for k in 0..g.num_params {
+            let src = Reg::try_from(usize::from(base) + k).expect("argument register");
+            out.push(Insn::Move { dst: callee_reg(k), src });
+        }
+        for (k, v) in g.local_defaults.iter().enumerate().skip(g.num_params) {
+            out.push(Insn::Const { dst: callee_reg(k), v: *v });
+        }
+        cpos.clear();
+        inner.clear();
+        returns.clear();
+        for (j, ci) in g.code.iter().enumerate() {
+            cpos.push(out.len());
+            match *ci {
+                Insn::Return { src } => {
+                    out.push(Insn::Move { dst, src: callee_reg(usize::from(src)) });
+                    // The last `Return` falls through to the continuation.
+                    if j + 1 < g.code.len() {
+                        returns.push(out.len());
+                        out.push(Insn::Jump { target: u32::MAX });
+                    }
+                }
+                Insn::Jump { .. } | Insn::JumpIfFalse { .. } => {
+                    inner.push(out.len());
+                    out.push(relocate(ci, off, recv));
+                }
+                _ => out.push(relocate(ci, off, recv)),
+            }
+        }
+        cpos.push(out.len());
+        for &k in &inner {
+            retarget(&mut out[k], |t| at(cpos[t as usize]));
+        }
+        let cont = at(out.len());
+        for &k in &returns {
+            retarget(&mut out[k], |_| cont);
+        }
+    }
+    pos.push(out.len());
+    for k in jumps {
+        retarget(&mut out[k], |t| at(pos[t as usize]));
+    }
+    Some(num_regs)
+}
+
+fn retarget(insn: &mut Insn, f: impl Fn(u32) -> u32) {
+    if let Insn::Jump { target } | Insn::JumpIfFalse { target, .. } = insn {
+        *target = f(*target);
+    }
+}
+
+/// A callee instruction moved into a caller frame: registers shift by
+/// `off` and `LoadThis` reads the call's receiver register.
+fn relocate(insn: &Insn, off: usize, recv: Reg) -> Insn {
+    let s = |r: Reg| Reg::try_from(usize::from(r) + off).expect("checked by inline_site");
+    match *insn {
+        Insn::Charge(n) => Insn::Charge(n),
+        Insn::Const { dst, v } => Insn::Const { dst: s(dst), v },
+        Insn::Move { dst, src } => Insn::Move { dst: s(dst), src: s(src) },
+        Insn::LoadThis { dst } => Insn::Move { dst: s(dst), src: recv },
+        Insn::LoadGlobal { dst, g } => Insn::LoadGlobal { dst: s(dst), g },
+        Insn::StoreGlobal { g, src } => Insn::StoreGlobal { g, src: s(src) },
+        Insn::FieldGet { dst, obj, field } => Insn::FieldGet { dst: s(dst), obj: s(obj), field },
+        Insn::FieldSet { obj, field, src } => Insn::FieldSet { obj: s(obj), field, src: s(src) },
+        Insn::IndexGet { dst, arr, idx } => {
+            Insn::IndexGet { dst: s(dst), arr: s(arr), idx: s(idx) }
+        }
+        Insn::IndexSet { arr, idx, src } => {
+            Insn::IndexSet { arr: s(arr), idx: s(idx), src: s(src) }
+        }
+        Insn::ArrayLen { dst, arr } => Insn::ArrayLen { dst: s(dst), arr: s(arr) },
+        Insn::Binary { dst, op, ty, lhs, rhs } => {
+            Insn::Binary { dst: s(dst), op, ty, lhs: s(lhs), rhs: s(rhs) }
+        }
+        Insn::Unary { dst, op, ty, src } => Insn::Unary { dst: s(dst), op, ty, src: s(src) },
+        Insn::IntToDouble { dst, src } => Insn::IntToDouble { dst: s(dst), src: s(src) },
+        Insn::CheckInt { src } => Insn::CheckInt { src: s(src) },
+        Insn::CheckRecv { obj, func } => Insn::CheckRecv { obj: s(obj), func },
+        Insn::Jump { target } => Insn::Jump { target },
+        Insn::JumpIfFalse { cond, target } => Insn::JumpIfFalse { cond: s(cond), target },
+        Insn::CallHost { dst, ext, base, argc } => {
+            Insn::CallHost { dst: s(dst), ext, base: s(base), argc }
+        }
+        Insn::NewObj { dst, class } => Insn::NewObj { dst: s(dst), class },
+        Insn::NewArr { dst, len, default } => Insn::NewArr { dst: s(dst), len: s(len), default },
+        Insn::LockAcquire { obj } => Insn::LockAcquire { obj: s(obj) },
+        Insn::LockRelease { obj } => Insn::LockRelease { obj: s(obj) },
+        Insn::Return { src } => Insn::Return { src: s(src) },
+        Insn::Call { .. } => unreachable!("inlined callees are call-free"),
+    }
+}
+
+/// Debit `n` fuel units and `total` compute, bisecting exactly at the
+/// fuel boundary: on exhaustion the sink records only the consumed fuel
+/// (matching the per-node tree-walker bit-for-bit) and the frame holds the
+/// error.
+#[inline(always)]
+fn debit(fr: &mut NativeFrame<'_>, n: u32, total: Duration, node_cost: Duration) -> bool {
+    let need = u64::from(n);
+    if need > *fr.fuel {
+        exhaust(fr, node_cost);
+        return false;
+    }
+    *fr.fuel -= need;
+    fr.sink.compute(total);
+    true
+}
+
+#[cold]
+fn exhaust(fr: &mut NativeFrame<'_>, node_cost: Duration) {
+    let used = u32::try_from(*fr.fuel).expect("fuel < n <= u32::MAX");
+    fr.sink.compute_batch(node_cost, used);
+    *fr.fuel = 0;
+    fr.err = Some(fuel_exhausted());
+}
+
 /// Boxing helper with an optional fused charge prologue: when `ch` is
 /// `Some((n, total))` the kernel debits `n` fuel units (bisecting exactly
 /// at the fuel boundary) before running `f`. Folding the charge into its
@@ -698,29 +992,79 @@ fn kch(
 ) -> Kernel {
     match ch {
         None => Box::new(f),
-        Some((n, total)) => Box::new(move |fr| {
-            let need = u64::from(n);
-            if need > *fr.fuel {
-                // Bisect the block debit at the fuel boundary: the sink
-                // records exactly the consumed fuel, matching the
-                // per-node tiers bit-for-bit.
-                let used = u32::try_from(*fr.fuel).expect("fuel < n <= u32::MAX");
-                fr.sink.compute_batch(node_cost, used);
-                *fr.fuel = 0;
-                return fr.fail(fuel_exhausted());
-            }
-            *fr.fuel -= need;
-            fr.sink.compute(total);
-            f(fr)
-        }),
+        Some((n, total)) => {
+            Box::new(move |fr| if debit(fr, n, total, node_cost) { f(fr) } else { ERR })
+        }
     }
 }
 
+/// Per-compile scratch: every block of every function a
+/// [`compile_native_reusing`] call compiles reuses these buffers, so the
+/// compiler allocates per kernel, not per block.
+#[derive(Default)]
+struct Scratch {
+    /// `f`'s code with its leaf calls spliced in.
+    spliced: Vec<Insn>,
+    is_leader: Vec<bool>,
+    starts: Vec<usize>,
+    block_of: Vec<u32>,
+    prop: Prop,
+    /// Every block's micro-ops; block `b`'s are
+    /// `ops[op_start[b]..op_start[b + 1]]`.
+    ops: Vec<MOp>,
+    op_start: Vec<usize>,
+    /// Per op: bit `k` is set when its `k`-th register use (in
+    /// `for_each_use` order) is the register's last read.
+    kills: Vec<u32>,
+    keep: Vec<bool>,
+    exits: Vec<MExit>,
+    ue: Sets,
+    defs: Sets,
+    live_in: Sets,
+    live_out: Sets,
+    needed: Vec<u64>,
+    forward: Vec<u32>,
+    entries: Vec<Entry>,
+    fused: Vec<(ChargePrologue, Option<MOp>)>,
+}
+
+/// One straight-line kernel to build: its charge prologue, its op (`None`
+/// for a bare charge) and the op's kill bits.
+type Entry = (ChargePrologue, Option<MOp>, u32);
+
 #[allow(clippy::too_many_lines)]
-fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
-    let code = &f.code[..];
+fn compile_func(
+    f: &VmFunc,
+    module: &VmModule,
+    leaves: &[bool],
+    cost: &CostModel,
+    s: &mut Scratch,
+) -> NativeFunc {
+    let Scratch {
+        spliced,
+        is_leader,
+        starts,
+        block_of,
+        prop,
+        ops,
+        op_start,
+        kills,
+        keep,
+        exits,
+        ue,
+        defs,
+        live_in,
+        live_out,
+        needed,
+        forward,
+        entries,
+        fused,
+    } = s;
+    let (code, num_regs) = match inline_leaves(f, module, leaves, spliced) {
+        Some(num_regs) => (&spliced[..], num_regs),
+        None => (&f.code[..], f.num_regs),
+    };
     let n = code.len();
-    let num_regs = f.num_regs;
     assert!(
         matches!(code.last(), Some(Insn::Return { .. })),
         "`{}`: function must end in Return",
@@ -728,16 +1072,17 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
     );
 
     // Validate every register operand once; run-time access is unchecked.
-    let r = |reg: crate::vm::Reg| -> usize {
+    let r = |reg: Reg| -> usize {
         let i = usize::from(reg);
         assert!(i < num_regs, "`{}`: register {i} outside frame of {num_regs}", f.name);
         i
     };
 
     // Block leaders: entry, jump targets, and the instruction after every
-    // terminator. Calls terminate blocks too — the executor must re-window
-    // the register stack around the callee frame.
-    let mut is_leader = vec![false; n + 1];
+    // terminator. Calls left after inlining terminate blocks too — the
+    // executor must re-window the register stack around the callee frame.
+    is_leader.clear();
+    is_leader.resize(n + 1, false);
     is_leader[0] = true;
     for (i, insn) in code.iter().enumerate() {
         match insn {
@@ -749,8 +1094,9 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
             _ => {}
         }
     }
-    let mut starts: Vec<usize> = Vec::new();
-    let mut block_of = vec![u32::MAX; n + 1];
+    starts.clear();
+    block_of.clear();
+    block_of.resize(n + 1, u32::MAX);
     for i in 0..n {
         if is_leader[i] {
             starts.push(i);
@@ -768,8 +1114,9 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
     // Within one block, track what each register holds (constant, copy of
     // another register, the receiver) and resolve every read to its best
     // source. Reads become `Operand`s; constant subexpressions fold.
-    let mut bodies: Vec<Vec<MOp>> = Vec::with_capacity(nb);
-    let mut exits: Vec<MExit> = Vec::with_capacity(nb);
+    ops.clear();
+    op_start.clear();
+    exits.clear();
     for (b, &start) in starts.iter().enumerate() {
         let end = starts.get(b + 1).copied().unwrap_or(n);
         let last = end - 1;
@@ -780,10 +1127,10 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
         );
         let body_end = if terminator { last } else { end };
 
-        let mut p = Prop::new(num_regs);
-        let mut body: Vec<MOp> = Vec::new();
+        op_start.push(ops.len());
+        prop.begin_block(num_regs);
         for insn in &code[start..body_end] {
-            propagate(insn, &mut p, &mut body, &r, num_regs, &f.name);
+            propagate(insn, prop, ops, &r, num_regs, &f.name);
         }
         let exit: MExit = if terminator {
             match &code[last] {
@@ -796,7 +1143,7 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
                     let taken = block_of[*target as usize];
                     let fall = block_of[end];
                     assert!(in_range(fall), "`{}`: branch falls off the end", f.name);
-                    match p.resolve(r(*cond)) {
+                    match prop.resolve(r(*cond)) {
                         // A constant condition decides the branch now.
                         Operand::Imm(v) => MExit::Jump {
                             target: if matches!(v, Value::Bool(true)) { fall } else { taken },
@@ -804,7 +1151,7 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
                         cond => MExit::Branch { cond, taken, fall },
                     }
                 }
-                Insn::Return { src } => MExit::Return { src: p.resolve(r(*src)) },
+                Insn::Return { src } => MExit::Return { src: prop.resolve(r(*src)) },
                 Insn::Call { dst, func, base, recv } => {
                     let callee = *func as usize;
                     let cf = &module.funcs[callee];
@@ -825,8 +1172,8 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
                         // Gathering arguments straight from their sources
                         // usually turns the staging `Move`s into dead
                         // stores, which pass 3 then deletes.
-                        args: (0..cf.num_params).map(|i| p.resolve(abase + i)).collect(),
-                        recv: if *recv == NO_REG { None } else { Some(p.resolve(r(*recv))) },
+                        args: (0..cf.num_params).map(|i| prop.resolve(abase + i)).collect(),
+                        recv: if *recv == NO_REG { None } else { Some(prop.resolve(r(*recv))) },
                         next,
                     }
                 }
@@ -838,51 +1185,56 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
             assert!(in_range(next), "`{}`: block falls off the end", f.name);
             MExit::Jump { target: next }
         };
-        bodies.push(body);
         exits.push(exit);
     }
+    op_start.push(ops.len());
 
     // ---- pass 2: register liveness across blocks ----
-    let mut ue = Vec::with_capacity(nb);
-    let mut defs = Vec::with_capacity(nb);
+    let w = num_regs.div_ceil(64);
+    ue.reset(nb, w);
+    defs.reset(nb, w);
     for b in 0..nb {
-        let mut u = RegSet::new(num_regs);
-        let mut d = RegSet::new(num_regs);
-        for opn in &bodies[b] {
+        let (u, d) = (ue.row_mut(b), defs.row_mut(b));
+        for opn in &ops[op_start[b]..op_start[b + 1]] {
             opn.for_each_use(&mut |r0| {
-                if !d.get(r0) {
-                    u.set(r0);
+                if !has(d, r0) {
+                    add(u, r0);
                 }
             });
             if let Some(dr) = opn.def_reg() {
-                d.set(dr);
+                add(d, dr);
             }
         }
         exits[b].for_each_use(&mut |r0| {
-            if !d.get(r0) {
-                u.set(r0);
+            if !has(d, r0) {
+                add(u, r0);
             }
         });
         if let Some(dr) = exits[b].def_reg() {
-            d.set(dr);
+            add(d, dr);
         }
-        ue.push(u);
-        defs.push(d);
     }
-    let mut live_in = vec![RegSet::new(num_regs); nb];
-    let mut live_out = vec![RegSet::new(num_regs); nb];
+    live_in.reset(nb, w);
+    live_out.reset(nb, w);
     loop {
+        // Only `live_in` changes need another round: `live_out` is
+        // recomputed from it.
         let mut changed = false;
         for b in (0..nb).rev() {
-            exits[b].successors(&mut |s| {
-                changed |= live_out[b].union_with(&live_in[s as usize]);
+            let out = live_out.row_mut(b);
+            exits[b].successors(&mut |t| {
+                for (o, i) in out.iter_mut().zip(live_in.row(t as usize)) {
+                    *o |= i;
+                }
             });
-            let mut ni = live_out[b].clone();
-            ni.subtract(&defs[b]);
-            ni.union_with(&ue[b]);
-            if ni != live_in[b] {
-                live_in[b] = ni;
-                changed = true;
+            let (out, d, u) = (live_out.row(b), defs.row(b), ue.row(b));
+            let inn = live_in.row_mut(b);
+            for k in 0..w {
+                let v = (out[k] & !d[k]) | u[k];
+                if v != inn[k] {
+                    inn[k] = v;
+                    changed = true;
+                }
             }
         }
         if !changed {
@@ -890,75 +1242,147 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
         }
     }
 
-    // ---- pass 3: dead-store elimination ----
+    // ---- pass 3: dead-store elimination, recording last reads ----
     //
     // `SetReg` is the only pure op (the front end rejects `this` outside
     // methods, so `LoadThis` cannot fail in compiled programs); one whose
     // destination is not read again before being redefined is deleted.
+    // The same backward walk marks each surviving op's last reads of a
+    // register (`kills`), which tells pass 5 where a fused register write
+    // may be dropped.
+    kills.clear();
+    kills.resize(ops.len(), 0);
+    keep.clear();
+    keep.resize(ops.len(), true);
+    needed.clear();
+    needed.resize(w, 0);
     for b in 0..nb {
-        let body = &mut bodies[b];
-        let mut needed = live_out[b].clone();
+        needed.copy_from_slice(live_out.row(b));
         if let Some(d) = exits[b].def_reg() {
-            needed.clear(d);
+            remove(needed, d);
         }
-        exits[b].for_each_use(&mut |r0| needed.set(r0));
-        let mut keep = vec![true; body.len()];
-        for (i, opn) in body.iter().enumerate().rev() {
+        exits[b].for_each_use(&mut |r0| add(needed, r0));
+        for i in (op_start[b]..op_start[b + 1]).rev() {
+            let opn = &ops[i];
             if let MOp::SetReg { dst, src } = opn {
-                if !needed.get(*dst) || *src == Operand::Reg(*dst) {
+                if !has(needed, *dst) || *src == Operand::Reg(*dst) {
                     keep[i] = false;
                     continue;
                 }
             }
             if let Some(d) = opn.def_reg() {
-                needed.clear(d);
+                remove(needed, d);
             }
-            opn.for_each_use(&mut |r0| needed.set(r0));
+            let (mut bit, mut kill) = (1u32, 0u32);
+            opn.for_each_use(&mut |r0| {
+                if !has(needed, r0) {
+                    kill |= bit;
+                }
+                bit <<= 1;
+            });
+            opn.for_each_use(&mut |r0| add(needed, r0));
+            kills[i] = kill;
         }
-        let mut it = keep.iter();
-        body.retain(|_| *it.next().expect("keep mask covers body"));
+    }
+    let mut kept = 0;
+    for b in 0..nb {
+        let (lo, hi) = (op_start[b], op_start[b + 1]);
+        op_start[b] = kept;
+        kept += keep[lo..hi].iter().filter(|k| **k).count();
+    }
+    op_start[nb] = kept;
+    let mut it = keep.iter();
+    ops.retain(|_| *it.next().expect("keep mask covers ops"));
+    let mut it = keep.iter();
+    kills.retain(|_| *it.next().expect("keep mask covers ops"));
+
+    // ---- pass 4: jump threading ----
+    //
+    // A block left with no ops and a plain jump forwards control and
+    // nothing else, so every edge into it goes straight on to its target
+    // (chains followed; a cycle of such blocks is left alone).
+    let stub = |b: usize| match exits[b] {
+        MExit::Jump { target } if op_start[b] == op_start[b + 1] => Some(target),
+        _ => None,
+    };
+    forward.clear();
+    forward.extend((0..nb).map(|b| {
+        let mut t = u32::try_from(b).expect("block count fits u32");
+        for _ in 0..nb {
+            match stub(t as usize) {
+                Some(next) => t = next,
+                None => break,
+            }
+        }
+        t
+    }));
+    for exit in exits.iter_mut() {
+        exit.retarget(|t| forward[t as usize]);
     }
 
-    // ---- pass 4: charge folding + kernel chaining ----
+    // ---- pass 5: charge folding, fusion, kernel chaining ----
     //
     // Each charge becomes its successor kernel's prologue (adjacent
     // charges — separated only by deleted stores — merge first, which is
     // step-equivalent because the sink merges consecutive computes and
-    // the bisected debit totals are identical). Then the straight-line
-    // kernels fuse back-to-front onto the exit, so each kernel tail-calls
-    // its successor through a private call site.
+    // the bisected debit totals are identical). Field loads fuse into
+    // their consumers and a closing comparison into the branch (module
+    // docs). Then the straight-line kernels fuse back-to-front onto the
+    // exit, so each kernel tail-calls its successor through a private
+    // call site.
     let mut blocks: Vec<NativeBlock> = Vec::with_capacity(nb);
-    for (body, exit) in bodies.into_iter().zip(exits) {
-        let mut fused: Vec<(ChargePrologue, Option<MOp>)> = Vec::new();
+    let mut op_iter = ops.drain(..);
+    for (b, exit) in exits.drain(..).enumerate() {
+        let (lo, hi) = (op_start[b], op_start[b + 1]);
+        entries.clear();
         let mut exit_charge: ChargePrologue = None;
-        let mut it = body.into_iter().peekable();
-        while let Some(opn) = it.next() {
+        let mut body = op_iter.by_ref().take(hi - lo).zip(kills[lo..hi].iter().copied()).peekable();
+        while let Some((opn, kill)) = body.next() {
             let MOp::Charge(mut total) = opn else {
-                fused.push((None, Some(opn)));
+                entries.push((None, Some(opn), kill));
                 continue;
             };
-            while let Some(MOp::Charge(m)) = it.peek() {
+            while let Some((MOp::Charge(m), _)) = body.peek() {
                 match total.checked_add(*m) {
                     Some(s) => {
                         total = s;
-                        it.next();
+                        body.next();
                     }
                     None => break,
                 }
             }
             let ch = Some((total, node_cost * total));
-            match it.peek() {
-                None => exit_charge = ch,
+            match body.next_if(|(o, _)| !matches!(o, MOp::Charge(_))) {
+                Some((o, k)) => entries.push((ch, Some(o), k)),
+                None if body.peek().is_none() => exit_charge = ch,
                 // Only reachable on u32 charge overflow: keep a bare
                 // charge kernel rather than merging further.
-                Some(MOp::Charge(_)) => fused.push((ch, None)),
-                Some(_) => fused.push((ch, it.next())),
+                None => entries.push((ch, None, 0)),
             }
         }
+        fused.clear();
+        fuse_fields(entries, fused);
 
+        let cmp_branch = match (&exit, fused.last()) {
+            (
+                MExit::Branch { cond: Operand::Reg(c), .. },
+                Some((_, Some(MOp::Binary { dst, op, ty, .. }))),
+            ) => dst == c && kind(*ty, *op) == Some(Kind::Cmp),
+            _ => false,
+        };
         let (mut chain, desc): (Kernel, ExitDesc) = match exit {
             MExit::Jump { target } => {
                 (kch(exit_charge, node_cost, move |_| target), ExitDesc::Jump)
+            }
+            MExit::Branch { taken, fall, .. } if cmp_branch => {
+                let Some((ch, Some(MOp::Binary { dst, op, ty, lhs, rhs }))) = fused.pop() else {
+                    unreachable!("checked above")
+                };
+                // The comparison's own write survives only if a successor
+                // reads it.
+                let dst = has(live_out.row(b), dst).then_some(dst);
+                let tail = BranchTail { dst, charge: exit_charge, node_cost, taken, fall };
+                (cmp_kernel(ty, op, lhs, rhs, ch, node_cost, tail), ExitDesc::Jump)
             }
             MExit::Branch { cond, taken, fall } => (
                 kch(exit_charge, node_cost, move |fr| {
@@ -978,7 +1402,7 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
                 ExitDesc::Call { func, dst, args: args.into_boxed_slice(), recv, next },
             ),
         };
-        for (ch, opn) in fused.into_iter().rev() {
+        for (ch, opn) in fused.drain(..).rev() {
             chain = build_kernel(opn, ch, chain, node_cost, extern_default, module);
         }
         blocks.push(NativeBlock { enter: chain, exit: desc });
@@ -993,6 +1417,100 @@ fn compile_func(f: &VmFunc, module: &VmModule, cost: &CostModel) -> NativeFunc {
     }
 }
 
+/// Whether `opn` reads `reg` for the last time, from its kill bits.
+fn dies(opn: &MOp, kill: u32, reg: usize) -> bool {
+    let (mut bit, mut dead) = (1u32, false);
+    opn.for_each_use(&mut |r0| {
+        dead |= r0 == reg && kill & bit != 0;
+        bit <<= 1;
+    });
+    dead
+}
+
+/// Move `entries` to `out`, folding every `FieldGet` that can fuse into
+/// its consumer (module docs, "Typed kernels and superinstructions").
+fn fuse_fields(entries: &mut [Entry], out: &mut Vec<(ChargePrologue, Option<MOp>)>) {
+    let mut i = 0;
+    while i < entries.len() {
+        let ch = entries[i].0;
+        match fused_at(&entries[i..]) {
+            Some((opn, len)) => {
+                out.push((ch, Some(opn)));
+                i += len;
+            }
+            None => {
+                out.push((ch, entries[i].1.take()));
+                i += 1;
+            }
+        }
+    }
+}
+
+/// The superinstruction starting at `e[0]`, if `e[0]` is a field load that
+/// fuses, with the number of entries it replaces. Every fused entry after
+/// the first must be uncharged, and each skipped register write must be
+/// dead.
+fn fused_at(e: &[Entry]) -> Option<(MOp, usize)> {
+    let Some((_, Some(MOp::FieldGet { dst: t, obj, field }), _)) = e.first() else {
+        return None;
+    };
+    let (t, obj, field) = (*t, *obj, *field);
+    let next = |i: usize| match e.get(i) {
+        Some((None, Some(opn), kill)) => Some((opn, *kill)),
+        _ => None,
+    };
+    let loaded = Arg::Op(Operand::Reg(t));
+    let load = Arg::Field { obj, field };
+
+    // Two loads feeding one binary, in program order.
+    if let (
+        Some((MOp::FieldGet { dst: t2, obj: o2, field: f2 }, _)),
+        Some((bin @ MOp::Binary { dst, op, ty, lhs, rhs }, bk)),
+    ) = (next(1), next(2))
+    {
+        if kind(*ty, *op).is_some()
+            && *lhs == loaded
+            && *rhs == Arg::Op(Operand::Reg(*t2))
+            && *t2 != t
+            && *o2 != Operand::Reg(t)
+            && dies(bin, bk, t)
+            && dies(bin, bk, *t2)
+        {
+            let rhs = Arg::Field { obj: *o2, field: *f2 };
+            return Some((MOp::Binary { dst: *dst, op: *op, ty: *ty, lhs: load, rhs }, 3));
+        }
+    }
+
+    // One load feeding the next binary. A receiver read on the left would
+    // move ahead of the load, so that shape stays unfused.
+    let Some((bin @ MOp::Binary { dst: v, op, ty, lhs, rhs }, bk)) = next(1) else {
+        return None;
+    };
+    if kind(*ty, *op).is_none() || !dies(bin, bk, t) {
+        return None;
+    }
+    let (lhs, rhs) = match (*lhs == loaded, *rhs == loaded) {
+        (true, false) => (load, *rhs),
+        (false, true) if *lhs != Arg::Op(Operand::This) => (*lhs, load),
+        _ => return None,
+    };
+    let (v, op, ty) = (*v, *op, *ty);
+    // ... and its result stored back into the same object: the object
+    // operand must still name that object at the store.
+    if let Some((set @ MOp::FieldSet { obj: so, field: g, src: Operand::Reg(sv) }, sk)) = next(2) {
+        if kind(ty, op) == Some(Kind::Arith)
+            && *so == obj
+            && *sv == v
+            && obj != Operand::Reg(t)
+            && obj != Operand::Reg(v)
+            && dies(set, sk, v)
+        {
+            return Some((MOp::FieldRmw { obj, set: *g, op, ty, lhs, rhs }, 3));
+        }
+    }
+    Some((MOp::Binary { dst: v, op, ty, lhs, rhs }, 2))
+}
+
 /// Lower one straight-line instruction to micro-ops, resolving its reads
 /// against the propagation state and recording its write.
 #[allow(clippy::too_many_lines)]
@@ -1000,7 +1518,7 @@ fn propagate(
     insn: &Insn,
     p: &mut Prop,
     out: &mut Vec<MOp>,
-    r: &dyn Fn(crate::vm::Reg) -> usize,
+    r: &dyn Fn(Reg) -> usize,
     num_regs: usize,
     fname: &str,
 ) {
@@ -1073,7 +1591,13 @@ fn propagate(
                 }
             }
             p.def(d, Val::Unknown);
-            out.push(MOp::Binary { dst: d, op: *op, ty: *ty, lhs, rhs });
+            out.push(MOp::Binary {
+                dst: d,
+                op: *op,
+                ty: *ty,
+                lhs: Arg::Op(lhs),
+                rhs: Arg::Op(rhs),
+            });
         }
         Insn::Unary { dst, op, ty, src } => {
             let src = p.resolve(r(*src));
@@ -1148,7 +1672,8 @@ fn propagate(
 /// and every boundary a value enters registers through is typed (see the
 /// module docs), so the tag always matches. The read is total anyway — a
 /// mismatch yields NaN or 0, never undefined behaviour — so kernels carry
-/// no tag test and no error path.
+/// no tag test and no error path. References and bools compare as whole
+/// [`Value`]s.
 trait Untag: Copy + Send + Sync + 'static {
     fn untag(v: Value) -> Self;
 }
@@ -1175,45 +1700,286 @@ impl Untag for i64 {
     }
 }
 
-/// A typed binary kernel: `f` over untagged operands, monomorphized per
-/// operator and per operand shape (reg-reg, reg-imm, imm-reg; immediates
-/// are untagged once, here).
-fn typed_binary<T: Untag>(
+impl Untag for Value {
+    #[inline(always)]
+    fn untag(v: Value) -> Value {
+        v
+    }
+}
+
+/// Which typed kernel family a binary operator compiles to, if any.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Arith,
+    Cmp,
+}
+
+/// `None`: the checked, tag-dispatching `binary_op` (the bool operators
+/// and int `/`/`%`).
+fn kind(ty: OpTy, op: BinOp) -> Option<Kind> {
+    use BinOp::{Add, Div, Eq, Ge, Gt, Le, Lt, Mul, Ne, Sub};
+    match (ty, op) {
+        (OpTy::Double, Add | Sub | Mul | Div) | (OpTy::Int, Add | Sub | Mul) => Some(Kind::Arith),
+        (OpTy::Double | OpTy::Int, Lt | Le | Gt | Ge | Eq | Ne)
+        | (OpTy::Ref | OpTy::Bool, Eq | Ne) => Some(Kind::Cmp),
+        _ => None,
+    }
+}
+
+/// An operand source of a typed kernel, monomorphized per shape. Only the
+/// receiver and field reads can fail, each with the message of the
+/// separate op it replaces.
+trait Src<T>: Copy + Send + Sync + 'static {
+    fn get(self, fr: &NativeFrame<'_>) -> Result<T, &'static str>;
+}
+
+#[derive(Clone, Copy)]
+struct RegS(usize);
+
+#[derive(Clone, Copy)]
+struct ImmS<T>(T);
+
+/// Field `field` of the object `obj` holds.
+#[derive(Clone, Copy)]
+struct FieldS {
+    obj: Operand,
+    field: usize,
+}
+
+/// Any operand, dispatched at run time (the uncommon shapes).
+#[derive(Clone, Copy)]
+struct AnyS(Arg);
+
+/// Read an operand, failing only on a missing receiver.
+#[inline(always)]
+fn operand(fr: &NativeFrame<'_>, o: Operand) -> Result<Value, &'static str> {
+    match o {
+        Operand::Reg(r) => Ok(fr.rd(r)),
+        Operand::Imm(v) => Ok(v),
+        Operand::This => fr.this.ok_or(THIS_OUTSIDE),
+    }
+}
+
+impl<T: Untag> Src<T> for RegS {
+    #[inline(always)]
+    fn get(self, fr: &NativeFrame<'_>) -> Result<T, &'static str> {
+        Ok(T::untag(fr.rd(self.0)))
+    }
+}
+
+impl<T: Untag> Src<T> for ImmS<T> {
+    #[inline(always)]
+    fn get(self, _: &NativeFrame<'_>) -> Result<T, &'static str> {
+        Ok(self.0)
+    }
+}
+
+impl<T: Untag> Src<T> for FieldS {
+    #[inline(always)]
+    fn get(self, fr: &NativeFrame<'_>) -> Result<T, &'static str> {
+        match operand(fr, self.obj)? {
+            Value::Obj(id) => Ok(T::untag(fr.env.heap.objects[id].fields[self.field])),
+            _ => Err(FIELD_READ),
+        }
+    }
+}
+
+impl<T: Untag> Src<T> for AnyS {
+    fn get(self, fr: &NativeFrame<'_>) -> Result<T, &'static str> {
+        match self.0 {
+            Arg::Op(o) => operand(fr, o).map(T::untag),
+            Arg::Field { obj, field } => FieldS { obj, field }.get(fr),
+        }
+    }
+}
+
+/// What a typed binary kernel does with its result.
+trait Tail: Send + Sync + 'static {
+    fn finish(&self, fr: &mut NativeFrame<'_>, v: Value) -> u32;
+}
+
+/// Write the result and run the next kernel.
+struct WriteReg {
     dst: usize,
-    lhs: Operand,
-    rhs: Operand,
+    next: Kernel,
+}
+
+impl Tail for WriteReg {
+    #[inline(always)]
+    fn finish(&self, fr: &mut NativeFrame<'_>, v: Value) -> u32 {
+        fr.wr(self.dst, v);
+        (self.next)(fr)
+    }
+}
+
+/// Store the result into a field of the object `obj` holds and run the
+/// next kernel: the read-modify-write tail, whose load already checked the
+/// object.
+struct WriteField {
+    obj: Operand,
+    field: usize,
+    next: Kernel,
+}
+
+impl Tail for WriteField {
+    #[inline(always)]
+    fn finish(&self, fr: &mut NativeFrame<'_>, v: Value) -> u32 {
+        let Ok(Value::Obj(id)) = operand(fr, self.obj) else {
+            return fr.fail(RuntimeError::new(FIELD_WRITE));
+        };
+        fr.env.heap.objects[id].fields[self.field] = v;
+        (self.next)(fr)
+    }
+}
+
+/// Debit the block's exit charge, write the comparison's register if a
+/// successor reads it, and branch on the result (`fall` on exactly
+/// `Bool(true)`).
+struct BranchTail {
+    dst: Option<usize>,
+    charge: ChargePrologue,
+    node_cost: Duration,
+    taken: u32,
+    fall: u32,
+}
+
+impl Tail for BranchTail {
+    #[inline(always)]
+    fn finish(&self, fr: &mut NativeFrame<'_>, v: Value) -> u32 {
+        if let Some((n, total)) = self.charge {
+            if !debit(fr, n, total, self.node_cost) {
+                return ERR;
+            }
+        }
+        if let Some(d) = self.dst {
+            fr.wr(d, v);
+        }
+        if matches!(v, Value::Bool(true)) {
+            self.fall
+        } else {
+            self.taken
+        }
+    }
+}
+
+/// A typed binary kernel: debit its charge, read `l`, then `r`, apply
+/// `f`, hand the result to `tail`. The charge is tested at run time rather
+/// than through [`kch`]: one closure per operator and shape keeps the
+/// generated code small.
+fn bin<T: Untag, L: Src<T>, R: Src<T>, K: Tail>(
+    l: L,
+    r: R,
+    f: impl Fn(T, T) -> Value + Send + Sync + 'static,
     ch: ChargePrologue,
     node_cost: Duration,
-    next: Kernel,
-    f: impl Fn(T, T) -> Value + Send + Sync + 'static,
+    tail: K,
 ) -> Kernel {
+    Box::new(move |fr| {
+        if let Some((n, total)) = ch {
+            if !debit(fr, n, total, node_cost) {
+                return ERR;
+            }
+        }
+        let a = match l.get(fr) {
+            Ok(a) => a,
+            Err(m) => return fr.fail(RuntimeError::new(m)),
+        };
+        let b = match r.get(fr) {
+            Ok(b) => b,
+            Err(m) => return fr.fail(RuntimeError::new(m)),
+        };
+        tail.finish(fr, f(a, b))
+    })
+}
+
+/// Monomorphize [`bin`] on the common operand shapes (immediates are
+/// untagged once, here); the rest dispatch at run time.
+fn shaped<T: Untag, K: Tail>(
+    lhs: Arg,
+    rhs: Arg,
+    f: impl Fn(T, T) -> Value + Send + Sync + 'static,
+    ch: ChargePrologue,
+    nc: Duration,
+    tail: K,
+) -> Kernel {
+    use Arg::{Field, Op};
+    use Operand::{Imm, Reg};
     match (lhs, rhs) {
-        (Operand::Reg(l), Operand::Reg(r)) => kch(ch, node_cost, move |fr| {
-            let v = f(T::untag(fr.rd(l)), T::untag(fr.rd(r)));
-            fr.wr(dst, v);
-            next(fr)
-        }),
-        (Operand::Reg(l), Operand::Imm(b)) => {
-            let b = T::untag(b);
-            kch(ch, node_cost, move |fr| {
-                let v = f(T::untag(fr.rd(l)), b);
-                fr.wr(dst, v);
-                next(fr)
-            })
+        (Op(Reg(a)), Op(Reg(b))) => bin(RegS(a), RegS(b), f, ch, nc, tail),
+        (Op(Reg(a)), Op(Imm(b))) => bin(RegS(a), ImmS(T::untag(b)), f, ch, nc, tail),
+        (Op(Imm(a)), Op(Reg(b))) => bin(ImmS(T::untag(a)), RegS(b), f, ch, nc, tail),
+        (Field { obj, field }, Op(Reg(b))) => bin(FieldS { obj, field }, RegS(b), f, ch, nc, tail),
+        (Op(Reg(a)), Field { obj, field }) => bin(RegS(a), FieldS { obj, field }, f, ch, nc, tail),
+        (Field { obj, field }, Op(Imm(b))) => {
+            bin(FieldS { obj, field }, ImmS(T::untag(b)), f, ch, nc, tail)
         }
-        (Operand::Imm(a), Operand::Reg(r)) => {
-            let a = T::untag(a);
-            kch(ch, node_cost, move |fr| {
-                let v = f(a, T::untag(fr.rd(r)));
-                fr.wr(dst, v);
-                next(fr)
-            })
+        (Field { obj, field }, Field { obj: o2, field: f2 }) => {
+            bin(FieldS { obj, field }, FieldS { obj: o2, field: f2 }, f, ch, nc, tail)
         }
-        (lhs, rhs) => kch(ch, node_cost, move |fr| {
-            let v = f(T::untag(rdop!(fr, lhs)), T::untag(rdop!(fr, rhs)));
-            fr.wr(dst, v);
-            next(fr)
-        }),
+        (l, r) => bin(AnyS(l), AnyS(r), f, ch, nc, tail),
+    }
+}
+
+/// The kernel of a [`Kind::Arith`] operator.
+fn arith_kernel<K: Tail>(
+    ty: OpTy,
+    op: BinOp,
+    lhs: Arg,
+    rhs: Arg,
+    ch: ChargePrologue,
+    nc: Duration,
+    tail: K,
+) -> Kernel {
+    use Value::{Double, Int};
+    macro_rules! k {
+        ($t:ty, $f:expr) => {
+            shaped::<$t, K>(lhs, rhs, $f, ch, nc, tail)
+        };
+    }
+    match (ty, op) {
+        (OpTy::Double, BinOp::Add) => k!(f64, |a, b| Double(a + b)),
+        (OpTy::Double, BinOp::Sub) => k!(f64, |a, b| Double(a - b)),
+        (OpTy::Double, BinOp::Mul) => k!(f64, |a, b| Double(a * b)),
+        (OpTy::Double, BinOp::Div) => k!(f64, |a, b| Double(a / b)),
+        (OpTy::Int, BinOp::Add) => k!(i64, |a: i64, b| Int(a.wrapping_add(b))),
+        (OpTy::Int, BinOp::Sub) => k!(i64, |a: i64, b| Int(a.wrapping_sub(b))),
+        (OpTy::Int, BinOp::Mul) => k!(i64, |a: i64, b| Int(a.wrapping_mul(b))),
+        _ => unreachable!("not a typed arithmetic operator"),
+    }
+}
+
+/// The kernel of a [`Kind::Cmp`] operator.
+fn cmp_kernel<K: Tail>(
+    ty: OpTy,
+    op: BinOp,
+    lhs: Arg,
+    rhs: Arg,
+    ch: ChargePrologue,
+    nc: Duration,
+    tail: K,
+) -> Kernel {
+    use Value::Bool;
+    macro_rules! k {
+        ($t:ty, $f:expr) => {
+            shaped::<$t, K>(lhs, rhs, $f, ch, nc, tail)
+        };
+    }
+    match (ty, op) {
+        (OpTy::Double, BinOp::Lt) => k!(f64, |a, b| Bool(a < b)),
+        (OpTy::Double, BinOp::Le) => k!(f64, |a, b| Bool(a <= b)),
+        (OpTy::Double, BinOp::Gt) => k!(f64, |a, b| Bool(a > b)),
+        (OpTy::Double, BinOp::Ge) => k!(f64, |a, b| Bool(a >= b)),
+        (OpTy::Double, BinOp::Eq) => k!(f64, |a, b| Bool(a == b)),
+        (OpTy::Double, BinOp::Ne) => k!(f64, |a, b| Bool(a != b)),
+        (OpTy::Int, BinOp::Lt) => k!(i64, |a, b| Bool(a < b)),
+        (OpTy::Int, BinOp::Le) => k!(i64, |a, b| Bool(a <= b)),
+        (OpTy::Int, BinOp::Gt) => k!(i64, |a, b| Bool(a > b)),
+        (OpTy::Int, BinOp::Ge) => k!(i64, |a, b| Bool(a >= b)),
+        (OpTy::Int, BinOp::Eq) => k!(i64, |a, b| Bool(a == b)),
+        (OpTy::Int, BinOp::Ne) => k!(i64, |a, b| Bool(a != b)),
+        (OpTy::Ref | OpTy::Bool, BinOp::Eq) => k!(Value, |a, b| Bool(a == b)),
+        (OpTy::Ref | OpTy::Bool, BinOp::Ne) => k!(Value, |a, b| Bool(a != b)),
+        _ => unreachable!("not a typed comparison"),
     }
 }
 
@@ -1264,7 +2030,7 @@ fn build_kernel(
         MOp::FieldGet { dst, obj, field } => match obj {
             Operand::Reg(o) => kch(ch, node_cost, move |fr| {
                 let Value::Obj(id) = fr.rd(o) else {
-                    return fr.fail(RuntimeError::new("field read on null/non-object"));
+                    return fr.fail(RuntimeError::new(FIELD_READ));
                 };
                 let v = fr.env.heap.objects[id].fields[field];
                 fr.wr(dst, v);
@@ -1272,7 +2038,7 @@ fn build_kernel(
             }),
             obj => kch(ch, node_cost, move |fr| {
                 let Value::Obj(id) = rdop!(fr, obj) else {
-                    return fr.fail(RuntimeError::new("field read on null/non-object"));
+                    return fr.fail(RuntimeError::new(FIELD_READ));
                 };
                 let v = fr.env.heap.objects[id].fields[field];
                 fr.wr(dst, v);
@@ -1282,7 +2048,7 @@ fn build_kernel(
         MOp::FieldSet { obj, field, src } => kch(ch, node_cost, move |fr| {
             let v = rdop!(fr, src);
             let Value::Obj(id) = rdop!(fr, obj) else {
-                return fr.fail(RuntimeError::new("field write on null/non-object"));
+                return fr.fail(RuntimeError::new(FIELD_WRITE));
             };
             fr.env.heap.objects[id].fields[field] = v;
             next(fr)
@@ -1335,37 +2101,18 @@ fn build_kernel(
             fr.wr(dst, v);
             next(fr)
         }),
-        MOp::Binary { dst, op, ty, lhs, rhs } => {
-            use Value::{Bool, Double, Int};
-            macro_rules! typed {
-                ($t:ty, $f:expr) => {
-                    typed_binary::<$t>(dst, lhs, rhs, ch, node_cost, next, $f)
-                };
+        MOp::Binary { dst, op, ty, lhs, rhs } => match kind(ty, op) {
+            Some(Kind::Arith) => {
+                arith_kernel(ty, op, lhs, rhs, ch, node_cost, WriteReg { dst, next })
             }
-            match (ty, op) {
-                (OpTy::Double, BinOp::Add) => typed!(f64, |a, b| Double(a + b)),
-                (OpTy::Double, BinOp::Sub) => typed!(f64, |a, b| Double(a - b)),
-                (OpTy::Double, BinOp::Mul) => typed!(f64, |a, b| Double(a * b)),
-                (OpTy::Double, BinOp::Div) => typed!(f64, |a, b| Double(a / b)),
-                (OpTy::Double, BinOp::Lt) => typed!(f64, |a, b| Bool(a < b)),
-                (OpTy::Double, BinOp::Le) => typed!(f64, |a, b| Bool(a <= b)),
-                (OpTy::Double, BinOp::Gt) => typed!(f64, |a, b| Bool(a > b)),
-                (OpTy::Double, BinOp::Ge) => typed!(f64, |a, b| Bool(a >= b)),
-                (OpTy::Double, BinOp::Eq) => typed!(f64, |a, b| Bool(a == b)),
-                (OpTy::Double, BinOp::Ne) => typed!(f64, |a, b| Bool(a != b)),
-                (OpTy::Int, BinOp::Add) => typed!(i64, |a: i64, b| Int(a.wrapping_add(b))),
-                (OpTy::Int, BinOp::Sub) => typed!(i64, |a: i64, b| Int(a.wrapping_sub(b))),
-                (OpTy::Int, BinOp::Mul) => typed!(i64, |a: i64, b| Int(a.wrapping_mul(b))),
-                (OpTy::Int, BinOp::Lt) => typed!(i64, |a, b| Bool(a < b)),
-                (OpTy::Int, BinOp::Le) => typed!(i64, |a, b| Bool(a <= b)),
-                (OpTy::Int, BinOp::Gt) => typed!(i64, |a, b| Bool(a > b)),
-                (OpTy::Int, BinOp::Ge) => typed!(i64, |a, b| Bool(a >= b)),
-                (OpTy::Int, BinOp::Eq) => typed!(i64, |a, b| Bool(a == b)),
-                (OpTy::Int, BinOp::Ne) => typed!(i64, |a, b| Bool(a != b)),
-                // Reference `==`/`!=`, the bool operators, and int `/`/`%`
-                // (which raise division by zero) stay on the checked,
-                // tag-dispatching path.
-                _ => kch(ch, node_cost, move |fr| {
+            Some(Kind::Cmp) => cmp_kernel(ty, op, lhs, rhs, ch, node_cost, WriteReg { dst, next }),
+            // The bool operators and int `/`/`%` (which raise division by
+            // zero) stay on the checked, tag-dispatching path.
+            None => {
+                let (Arg::Op(lhs), Arg::Op(rhs)) = (lhs, rhs) else {
+                    unreachable!("only typed binaries read fields")
+                };
+                kch(ch, node_cost, move |fr| {
                     let (a, b) = (rdop!(fr, lhs), rdop!(fr, rhs));
                     match binary_op(op, a, b) {
                         Ok(v) => {
@@ -1374,8 +2121,11 @@ fn build_kernel(
                         }
                         Err(e) => fr.fail(e),
                     }
-                }),
+                })
             }
+        },
+        MOp::FieldRmw { obj, set, op, ty, lhs, rhs } => {
+            arith_kernel(ty, op, lhs, rhs, ch, node_cost, WriteField { obj, field: set, next })
         }
         MOp::Unary { dst, op, ty, src } => match (op, ty) {
             (UnOp::Neg, OpTy::Double) => kch(ch, node_cost, move |fr| {
@@ -1415,10 +2165,10 @@ fn build_kernel(
             })
         }
         MOp::CallHost { dst, ext, args } => {
-            assert!(args.len() <= 16, "host call arity above fused-kernel limit");
+            assert!(args.len() <= MAX_EXTERN_ARITY, "host call arity above the extern limit");
             let args = args.into_boxed_slice();
             kch(ch, node_cost, move |fr| {
-                let mut buf = [Value::Null; 16];
+                let mut buf = [Value::Null; MAX_EXTERN_ARITY];
                 for (i, a) in args.iter().enumerate() {
                     buf[i] = rdop!(fr, *a);
                 }
@@ -1658,6 +2408,11 @@ mod tests {
         });
         // Deliberately mistyped: the program declares it `double`.
         env.host.register("badret", Duration::from_nanos(100), |_| Value::Int(7));
+        env.host.register("wide", Duration::from_nanos(100), |args| {
+            Value::Double(
+                args.iter().enumerate().map(|(i, a)| a.as_double().unwrap() * i as f64).sum(),
+            )
+        });
         env
     }
 
@@ -1842,6 +2597,63 @@ mod tests {
         let [tree, nat] = tree_and_native(&wider, &native, "h");
         assert_eq!(tree, Ok(Value::Int(7)));
         assert_eq!(nat, tree);
+    }
+
+    /// Two modules that differ only in the body of a leaf their caller
+    /// inlines: the caller embeds that body, so it is compiled afresh, and
+    /// both builds agree with the tree-walker.
+    #[test]
+    fn reuse_compares_inlined_leaf_bodies() {
+        let base = compile_source(
+            "class cell { double v; double get() { return this.v + 1.0; } }
+             double f() { cell c = new cell(); return c.get(); }
+             double g() { return 2.0; }",
+        )
+        .unwrap();
+        let f = base.function_named("f").unwrap().0;
+        let g = base.function_named("g").unwrap().0;
+        let get = base.functions.iter().position(|x| x.name == "get").unwrap();
+        let vm = lower_functions(&base.functions);
+        assert!(leaf_flags(&vm)[get], "the control needs an inlined leaf");
+        let (base_native, copy) = reuse_build(&base, &base.clone());
+        assert!(copy.shares_code(f, &base_native, f), "an identical caller is reused");
+
+        let mut changed = base.clone();
+        let [Stmt::Return(Some(ret))] = changed.functions[get].body.as_mut_slice() else {
+            panic!("one return");
+        };
+        let ExprKind::Binary { rhs, .. } = &mut ret.kind else { panic!("a sum") };
+        rhs.kind = ExprKind::Double(2.0);
+        let (base_native, native) = reuse_build(&base, &changed);
+        assert!(!native.shares_code(get, &base_native, get));
+        assert!(!native.shares_code(f, &base_native, f), "the caller embeds the changed leaf");
+        assert!(native.shares_code(g, &base_native, g), "an unaffected function is reused");
+        let [tree, nat] = tree_and_native(&changed, &native, "f");
+        assert_eq!(tree, Ok(Value::Double(2.0)));
+        assert_eq!(nat, tree);
+        let [tree, nat] = tree_and_native(&base, &base_native, "f");
+        assert_eq!(tree, Ok(Value::Double(1.0)));
+        assert_eq!(nat, tree);
+    }
+
+    /// The widest extern sema accepts compiles and agrees across tiers; one
+    /// more parameter is a front-end error, not a panic in the kernel
+    /// builder.
+    #[test]
+    fn widest_extern_compiles_and_wider_is_rejected() {
+        let decl = |n: usize| format!("extern double wide({});", vec!["double"; n].join(", "));
+        let args: Vec<String> = (0..MAX_EXTERN_ARITY).map(|i| format!("{i}.5")).collect();
+        let src = format!(
+            "{} double test() {{ return wide({}); }}",
+            decl(MAX_EXTERN_ARITY),
+            args.join(", ")
+        );
+        let v = agree(&src, "test", &[]);
+        assert_eq!(v, Value::Double((0..16).map(|i| (f64::from(i) + 0.5) * f64::from(i)).sum()));
+        let wider = format!("{} double test() {{ return 0.0; }}", decl(MAX_EXTERN_ARITY + 1));
+        let e = compile_source(&wider).unwrap_err();
+        assert_eq!(e.stage, dynfb_lang::error::Stage::Sema);
+        assert!(e.message.contains("declares 17 parameters"), "{e}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use dynfb_compiler::vm::lower_functions;
 use dynfb_compiler::ExecTier;
 use dynfb_core::controller::ControllerConfig;
 use dynfb_core::rng::SplitMix64;
-use dynfb_lang::hir::Function;
+use dynfb_lang::hir::{Expr, Function, Hir, Stmt};
 use dynfb_sim::{
     run_app_ref, ChaosProfile, FaultPlan, LockId, Machine, OpSink, PlanEntry, RunConfig, RunMode,
     Step,
@@ -50,6 +50,12 @@ const PRELUDE: &str = "
         void bump(int n) { this.a += n; gi = gi + 1; }
         void scale(double f) { this.b = this.b * f + 1.0; gd += f; }
         int get() { return this.a; }
+        double settle(double v) {
+            if (v > this.b) { gd = gd + v; return v - 1.0; }
+            this.a += 1;
+            return this.b;
+        }
+        double pick(double v) { double r; if (v > 1.0) { r = v; } return r + 0.5; }
     }
     int test(int n) {
         int acc = n;
@@ -62,12 +68,15 @@ const PRELUDE: &str = "
         cell nullc = null;
         cell[] cells = new cell[4];
         for (int i = 0; i < 4; i++) { cells[i] = new cell(); }
+        cell d = cells[1];
 ";
 
 /// Append 3–8 random statements drawn from templates that exercise every
 /// instruction class — including patterns the native optimizer folds
 /// (constant conditions, copy chains, dead accumulator writes), the edge
-/// cases of the typed int/double kernels, and low-probability error paths.
+/// cases of the typed int/double kernels, the fused field, read-modify-write
+/// and compare-and-branch kernels, calls the native tier inlines, and
+/// low-probability error paths.
 /// NaN never reaches a global, field or the result: `Value` equality would
 /// report two agreeing NaNs as a mismatch.
 fn gen_program(rng: &mut SplitMix64) -> String {
@@ -77,7 +86,7 @@ fn gen_program(rng: &mut SplitMix64) -> String {
         let k = 1 + rng.gen_range_i64(0, 9);
         let m = 2 + rng.gen_range_i64(0, 12);
         let idx = rng.gen_index(4);
-        let stmt = match rng.gen_index(17) {
+        let stmt = match rng.gen_index(22) {
             0 => format!("acc = acc + {k};\n"),
             1 => format!(
                 "for (int i = 0; i < {m}; i++) {{ acc += i * {k}; cells[i % 4].bump(i); }}\n"
@@ -124,6 +133,38 @@ fn gen_program(rng: &mut SplitMix64) -> String {
                 "x = x + acc / 2 * 0.5 - j; if (acc < x || acc * 1.5 >= x + {k}) {{ acc = acc + 2; }}
                  gd = gd + acc / {k}.0;\n"
             ),
+            // Two field operands in one kernel, and a loaded local that is
+            // read again after the load's first consumer. The null read is
+            // the second load here and the first in the next template.
+            16 => format!(
+                "c.b = x; d.b = {k}.5; x = x + (c.b - d.b);
+                 d.b = x + {k}.0; z = d.b; x = x + z * 0.5 + z; z = 0.0;
+                 if (acc > {}) {{ x = c.b - nullc.b; }}\n",
+                40 + k * 7
+            ),
+            17 => format!(
+                "x = c.b * cells[{idx}].b + x;
+                 if (acc > {}) {{ x = nullc.b - c.b; }}\n",
+                40 + k * 7
+            ),
+            // Read-modify-write kernels, the last one on a null object.
+            18 => format!(
+                "c.b -= x; c.b = {k}.5 - c.b; cells[{idx}].b -= {k}.0; c.a *= 2;
+                 if (acc > {}) {{ nullc.b += x; }}\n",
+                40 + k * 7
+            ),
+            // A comparison whose bool is read again after its branch.
+            19 => format!(
+                "p = x < z; if (p) {{ acc = acc + {k}; }} q = p;
+                 if (q != (x < z)) {{ acc = acc - 1000; }}\n"
+            ),
+            // An inlined leaf with two returns, the first inside a critical
+            // region (see `lock_early_return`), and two inlined calls of a
+            // leaf that reads a local it may not have assigned.
+            20 => format!(
+                "x = c.settle(x * 0.5); z = cells[{idx}].settle({k}.0);
+                 z = c.pick(x + {k}.0) + d.pick(0.5); x = x + z; z = 0.0;\n"
+            ),
             // `==`/`!=` on doubles and on references, `null` included.
             _ => format!(
                 "if (x == 1.5 || x != x + 0.0) {{ acc = acc + 3; }}
@@ -135,6 +176,25 @@ fn gen_program(rng: &mut SplitMix64) -> String {
     }
     src.push_str("return acc + c.get();\n}\n");
     src
+}
+
+/// Wrap the first statement of `cell.settle` — the `if` holding its early
+/// `return` — in a critical region on `this`: default placement never puts
+/// a `return` inside a region, and the lowering must release the lock on
+/// that path even when the method is inlined.
+fn lock_early_return(hir: &mut Hir) {
+    let f = hir.functions.iter_mut().find(|f| f.name == "settle").expect("prelude method");
+    let class = f.class.expect("a method");
+    let early = f.body.remove(0);
+    assert!(matches!(early, Stmt::If { .. }), "settle starts with its early return");
+    f.body.insert(
+        0,
+        Stmt::Critical {
+            lock_obj: Expr::this(class),
+            body: vec![early],
+            regions: vec!["settle#early".to_string()],
+        },
+    );
 }
 
 fn host() -> HostRegistry {
@@ -262,14 +322,16 @@ fn random_programs_agree(seed: u64) {
     let mut locked_steps = 0usize;
     for case in 0..60 {
         let src = gen_program(&mut rng);
-        let hir = dynfb_lang::compile_source(&src).unwrap_or_else(|e| {
+        let mut hir = dynfb_lang::compile_source(&src).unwrap_or_else(|e| {
             panic!("seed {seed:#x} case {case}: generator emitted invalid source: {e}\n{src}")
         });
+        lock_early_return(&mut hir);
         let func = hir.function_named("test").expect("driver").0;
         let arg = rng.gen_range_i64(0, 48);
         let fuel = 10_000_000;
 
-        // Plain program, as the front end produced it.
+        // Plain program, as the front end produced it (plus the one
+        // region `lock_early_return` adds).
         let tree = run_tier(&hir, &hir.functions, func, base, arg, fuel, ExecTier::Tree);
         let native = run_tier(&hir, &hir.functions, func, base, arg, fuel, ExecTier::Native);
         if assert_agrees(&tree, &native, &format!("seed {seed:#x} case {case} (plain)")) {
@@ -311,9 +373,10 @@ fn random_fuel_budgets_bisect_identically() {
     let mut exhausted = 0usize;
     for case in 0..40 {
         let src = gen_program(&mut rng);
-        let hir = dynfb_lang::compile_source(&src).unwrap_or_else(|e| {
+        let mut hir = dynfb_lang::compile_source(&src).unwrap_or_else(|e| {
             panic!("case {case}: generator emitted invalid source: {e}\n{src}")
         });
+        lock_early_return(&mut hir);
         let func = hir.function_named("test").expect("driver").0;
         let arg = rng.gen_range_i64(0, 48);
         let fuel = rng.gen_range_i64(1, 400) as u64;

@@ -110,6 +110,11 @@ pub struct Field {
     pub ty: Ty,
 }
 
+/// The most parameters an `extern` may declare. Sema rejects wider
+/// declarations; the native tier gathers host-call arguments into a
+/// fixed buffer of this size.
+pub const MAX_EXTERN_ARITY: usize = 16;
+
 /// A host-implemented function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Extern {

@@ -93,6 +93,16 @@ impl Sema {
             if self.extern_ids.contains_key(&e.name) {
                 return Err(LangError::sema(e.span, format!("duplicate extern `{}`", e.name)));
             }
+            if e.params.len() > MAX_EXTERN_ARITY {
+                return Err(LangError::sema(
+                    e.span,
+                    format!(
+                        "extern `{}` declares {} parameters, more than the limit of {MAX_EXTERN_ARITY}",
+                        e.name,
+                        e.params.len()
+                    ),
+                ));
+            }
             let params = e
                 .params
                 .iter()
