@@ -22,8 +22,8 @@
 //! Everything is deterministic: the same seed produces a byte-identical
 //! report (`tests/determinism.rs` enforces this).
 
-use crate::engine::{Engine, Filter};
-use crate::report::Table;
+use crate::engine::{Engine, Filter, Job};
+use crate::report::{micros, Table};
 use dynfb_core::controller::{ControllerConfig, ResampleTrigger};
 use dynfb_core::detector::DetectorConfig;
 use dynfb_sim::{
@@ -36,7 +36,7 @@ use std::time::Duration;
 /// Updates per loop iteration (the batch the coarse version locks across).
 const UPDATES: usize = 16;
 /// Shared slots: every iteration lands on one of these locks. Public so
-/// the profile oracle can label the slots' machine lock ids.
+/// the observation oracle can label the slots' machine lock ids.
 pub const SLOTS: usize = 4;
 /// Cost of one update's computation.
 const UPDATE_COST: Duration = Duration::from_micros(6);
@@ -386,6 +386,13 @@ pub fn scenarios(cfg: &ChaosConfig) -> Vec<Scenario> {
     ]
 }
 
+/// The scenarios whose name `filter` matches (all of them when `None`),
+/// in report order.
+#[must_use]
+pub fn selected_scenarios(cfg: &ChaosConfig, filter: Option<&Filter>) -> Vec<Scenario> {
+    scenarios(cfg).into_iter().filter(|s| filter.is_none_or(|f| f.matches(s.name))).collect()
+}
+
 /// Result of one mode's run under one scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeOutcome {
@@ -452,8 +459,9 @@ pub fn mode_outcome(mode: &str, report: &AppReport) -> ModeOutcome {
 }
 
 /// Reconstruct how the dynamic run adapted from its production records.
-/// The trace oracle (`dynfb_bench::trace`) recomputes the same quantities
-/// independently from trace events and cross-checks them against this.
+/// The observation oracle (`dynfb_bench::observe`) recomputes the same
+/// quantities independently from trace events and cross-checks them
+/// against this.
 #[must_use]
 pub fn analyze_adaptation(report: &AppReport, onset: Duration) -> Adaptation {
     let production: Vec<&SampleRecord> = report
@@ -515,7 +523,7 @@ impl ChaosMode {
 }
 
 /// Result of one (scenario, mode) job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosJobResult {
     /// Elapsed/waiting measurements.
     pub outcome: ModeOutcome,
@@ -534,18 +542,25 @@ pub struct ChaosJobResult {
 pub fn run_mode(cfg: &ChaosConfig, scenario: &Scenario, mode: ChaosMode) -> ChaosJobResult {
     let run = mode_run_config(cfg, scenario, mode);
     let report = run_app(ChaosApp::new(cfg.iters), &run).expect("chaos run");
+    job_result(scenario, mode, &report)
+}
+
+/// The harness-side measurements of one finished (scenario, mode) run:
+/// its outcome, plus the adaptation analysis in the adaptive modes.
+#[must_use]
+pub fn job_result(scenario: &Scenario, mode: ChaosMode, report: &AppReport) -> ChaosJobResult {
     let adaptation = match mode {
         ChaosMode::Static(_) => None,
         ChaosMode::Dynamic | ChaosMode::EventDriven => {
-            Some(analyze_adaptation(&report, scenario.onset))
+            Some(analyze_adaptation(report, scenario.onset))
         }
     };
-    ChaosJobResult { outcome: mode_outcome(mode.name(), &report), adaptation }
+    ChaosJobResult { outcome: mode_outcome(mode.name(), report), adaptation }
 }
 
 /// The exact [`RunConfig`] that [`run_mode`] simulates for `mode` under
-/// `scenario` — exposed so the trace oracle can replay the identical run
-/// with a trace sink attached.
+/// `scenario` — exposed so the observation oracle can replay the
+/// identical run with its sinks attached.
 #[must_use]
 pub fn mode_run_config(cfg: &ChaosConfig, scenario: &Scenario, mode: ChaosMode) -> RunConfig {
     let mut run = match mode {
@@ -610,10 +625,6 @@ pub fn run_scenario(cfg: &ChaosConfig, scenario: &Scenario) -> ScenarioOutcome {
     assemble(scenario, results)
 }
 
-fn micros(d: Duration) -> String {
-    format!("{}", d.as_micros())
-}
-
 fn render(cfg: &ChaosConfig, out: &ScenarioOutcome) -> String {
     let mut t = Table::new(
         &format!(
@@ -664,15 +675,13 @@ pub fn chaos_report(cfg: &ChaosConfig) -> String {
 /// one worker and no filter.
 #[must_use]
 pub fn chaos_report_with(cfg: &ChaosConfig, engine: &Engine, filter: Option<&Filter>) -> String {
-    let selected: Vec<Scenario> =
-        scenarios(cfg).into_iter().filter(|s| filter.is_none_or(|f| f.matches(s.name))).collect();
+    let selected = selected_scenarios(cfg, filter);
     let modes = ChaosMode::all();
-    let tasks: Vec<Box<dyn FnOnce() -> ChaosJobResult + Send + '_>> = selected
+    let tasks: Vec<Job<'_, ChaosJobResult>> = selected
         .iter()
         .flat_map(|scenario| {
             modes.iter().map(move |&mode| {
-                let task: Box<dyn FnOnce() -> ChaosJobResult + Send + '_> =
-                    Box::new(move || run_mode(cfg, scenario, mode));
+                let task: Job<'_, ChaosJobResult> = Box::new(move || run_mode(cfg, scenario, mode));
                 task
             })
         })

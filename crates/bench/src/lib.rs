@@ -10,9 +10,7 @@
 pub mod chaos;
 pub mod engine;
 pub mod experiments;
-pub mod explain;
-pub mod profile;
+pub mod observe;
 pub mod rehab;
 pub mod report;
 pub mod repset;
-pub mod trace;

@@ -113,6 +113,12 @@ pub fn secs(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
+/// Format a duration in whole microseconds.
+#[must_use]
+pub fn micros(d: std::time::Duration) -> String {
+    d.as_micros().to_string()
+}
+
 /// Format a duration in milliseconds with 2 decimals.
 #[must_use]
 pub fn millis(d: std::time::Duration) -> String {

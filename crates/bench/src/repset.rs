@@ -23,7 +23,7 @@
 //!    report's pruning note).
 
 use crate::engine::{Engine, Job};
-use crate::report::Table;
+use crate::report::{micros, Table};
 use dynfb_apps::machine_config;
 use dynfb_apps::plasma::{plasma_with_policies, PlasmaConfig, LOCK_CLASSES};
 use dynfb_compiler::syncopt::Policy;
@@ -241,10 +241,6 @@ pub struct RepSetReport {
     pub selected_policies: Vec<Policy>,
     /// Whether the pruned build stayed within the gate factor.
     pub gate_passed: bool,
-}
-
-fn micros(d: Duration) -> String {
-    format!("{}", d.as_micros())
 }
 
 /// Run the full harness serially.

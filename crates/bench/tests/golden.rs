@@ -60,7 +60,7 @@ fn barnes_hut_profile_exports_match_golden() {
     // profiled under the metrics registry, with lock ids mapped through
     // the compiler's region metadata. Everything is virtual-time
     // deterministic, so both exports are byte-stable across hosts.
-    let p = dynfb_bench::profile::barnes_hut_profile(32, 4, "original");
+    let p = dynfb_bench::observe::barnes_hut_profile(32, 4, "original");
     assert!(p.consistent, "per-lock sums must equal machine aggregates");
     check_golden("barnes_hut_profile.golden.prom", &p.prom);
     check_golden("barnes_hut_profile.golden.json", &p.json);
