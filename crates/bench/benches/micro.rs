@@ -3,9 +3,9 @@
 //! compilation, and a small end-to-end simulated run.
 //!
 //! Self-contained harness (no external bench framework): each benchmark is
-//! warmed up, then timed over enough iterations to smooth scheduler noise,
-//! reporting mean time per iteration. Run with
-//! `cargo bench -p dynfb-bench`.
+//! warmed up and calibrated to a batch of at least 50 ms, then timed over
+//! [`BATCHES`] such batches, reporting the median and the minimum time per
+//! iteration. Run with `cargo bench -p dynfb-bench`.
 
 use dynfb_core::controller::{Controller, ControllerConfig};
 use dynfb_core::overhead::OverheadSample;
@@ -13,31 +13,39 @@ use dynfb_core::theory::Analysis;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Time `f` over adaptively chosen iteration counts, print the mean and
-/// return it.
-fn bench(name: &str, mut f: impl FnMut()) -> Duration {
-    // Warm-up and calibration: find an iteration count that runs ≥ 50 ms.
-    let mut iters: u64 = 1;
-    let per_iter = loop {
+/// Timed batches per benchmark. One slow batch (a preempted run on a
+/// shared host) moves neither the median nor the minimum.
+const BATCHES: usize = 11;
+
+/// Per-iteration times of one benchmark.
+struct Timing {
+    median: Duration,
+    min: Duration,
+}
+
+/// Time `f` in [`BATCHES`] batches of an adaptively chosen iteration count,
+/// print the median and minimum per iteration and return them.
+fn bench(name: &str, mut f: impl FnMut()) -> Timing {
+    let mut batch = |iters: u32| {
         let start = Instant::now();
         for _ in 0..iters {
             f();
         }
-        let elapsed = start.elapsed();
-        if elapsed >= Duration::from_millis(50) || iters >= 1 << 20 {
-            break elapsed / u32::try_from(iters).unwrap_or(u32::MAX);
-        }
-        iters *= 4;
+        start.elapsed()
     };
-    // Measurement pass at the calibrated count.
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
+    // Warm-up and calibration: find an iteration count that runs ≥ 50 ms.
+    let mut iters: u32 = 1;
+    while batch(iters) < Duration::from_millis(50) && iters < 1 << 20 {
+        iters *= 4;
     }
-    let mean = start.elapsed() / u32::try_from(iters).unwrap_or(u32::MAX);
-    let _ = per_iter;
-    println!("{name:<45} {mean:>12.3?}/iter  ({iters} iters)");
-    mean
+    let mut times: Vec<Duration> = (0..BATCHES).map(|_| batch(iters) / iters).collect();
+    times.sort_unstable();
+    let timing = Timing { median: times[BATCHES / 2], min: times[0] };
+    println!(
+        "{name:<45} {:>12.3?}/iter median, {:>12.3?} min  ({BATCHES} x {iters} iters)",
+        timing.median, timing.min
+    );
+    timing
 }
 
 fn bench_controller() {
@@ -162,7 +170,12 @@ fn bench_engine() {
     });
     let events: usize =
         (0..cfg.iters).map(|iter| bodies[iter % chaos::SLOTS].len()).sum::<usize>() + cfg.procs;
-    println!("{name:<45} {:>12.1} ns/event", per_run.as_secs_f64() * 1e9 / events as f64);
+    let ns_per_event = |d: Duration| d.as_secs_f64() * 1e9 / events as f64;
+    println!(
+        "{name:<45} {:>12.1} ns/event median, {:.1} min",
+        ns_per_event(per_run.median),
+        ns_per_event(per_run.min)
+    );
 }
 
 fn bench_compile() {

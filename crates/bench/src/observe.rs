@@ -699,7 +699,9 @@ pub fn observe_report_with(
 
     let n = selected.len();
     let mut trace = format!(
-        "trace oracle: {n} scenarios, dynamic cell replayed under a trace sink (seed {})\n\n",
+        "trace oracle: {n} scenarios x {} modes, every cell run once under the trace, journal \
+         and metrics sinks together (seed {})\n\n",
+        modes.len(),
         cfg.seed
     );
     let mut profile = format!(

@@ -18,7 +18,7 @@
 //!   [`DecisionKind::Health`] for quarantine-state transitions. The kinds
 //!   correspond one-to-one with the trace events `PolicySwitch`,
 //!   `ChangePointAlarm` and `PolicyHealth`; [`record_decision`] writes
-//!   both from the same controller decision, and the `dynfb-bench explain`
+//!   both from the same controller decision, and the `dynfb-bench observe`
 //!   oracle cross-checks the journal record-for-record against the trace.
 //! * **Confidence.** The paper's §5 model assumes per-version overheads
 //!   drift with bounded exponential rate `λ` (the `decay` of

@@ -369,6 +369,7 @@ impl FaultPlan {
 
     /// Multiplier on compute durations for `proc` at `t` (product of all
     /// active slowdowns; 1.0 when none apply).
+    #[inline]
     #[must_use]
     pub fn compute_factor(&self, proc: usize, t: SimTime) -> f64 {
         let mut factor = 1.0;
@@ -386,6 +387,7 @@ impl FaultPlan {
     }
 
     /// Multiplier on acquire/release costs for `lock` at `t`.
+    #[inline]
     #[must_use]
     pub fn lock_cost_factor(&self, lock: usize, t: SimTime) -> f64 {
         let mut factor = 1.0;
@@ -404,6 +406,7 @@ impl FaultPlan {
 
     /// Extra unavailability after a release of `lock` at `t` (sum of all
     /// active storms).
+    #[inline]
     #[must_use]
     pub fn extra_hold(&self, lock: usize, t: SimTime) -> Duration {
         let mut extra = Duration::ZERO;
@@ -421,6 +424,7 @@ impl FaultPlan {
     }
 
     /// Extra delay before `proc`'s arrival at a barrier at `t` registers.
+    #[inline]
     #[must_use]
     pub fn barrier_delay(&self, proc: usize, t: SimTime) -> Duration {
         let mut delay = Duration::ZERO;
@@ -459,6 +463,7 @@ impl FaultPlan {
     /// among all active [`FaultKind::ProcStall`] windows (strictly after
     /// `t`, since windows are half-open). `None` when the processor is
     /// free to run.
+    #[inline]
     #[must_use]
     pub fn stall_until(&self, proc: usize, t: SimTime) -> Option<SimTime> {
         if !self.has(STALL) {

@@ -29,6 +29,7 @@ pub mod config;
 pub mod faults;
 pub mod machine;
 pub mod process;
+mod queue;
 pub mod runtime;
 pub mod stats;
 pub mod time;

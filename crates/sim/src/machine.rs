@@ -9,11 +9,11 @@
 use crate::config::{MachineConfig, MachineConfigError};
 use crate::faults::{FaultPlan, FaultPlanError};
 use crate::process::{BarrierId, LockId, ProcCtx, ProcId, Process, Step};
+use crate::queue::EventQueue;
 use crate::stats::{MachineStats, ProcStats};
 use crate::time::SimTime;
 use dynfb_core::metrics::{MetricsSink, NoMetrics};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
@@ -48,6 +48,9 @@ pub enum SimError {
     EventLimitExceeded,
     /// Simulated time would pass `u64::MAX` nanoseconds (about 584 years).
     TimeOverflow,
+    /// One run scheduled more events than the event queue's packed
+    /// insertion counter holds (2^60 on 16 processors).
+    SeqOverflow,
     /// A run was requested on zero processors.
     NoProcessors,
     /// The machine cost model failed validation.
@@ -88,6 +91,7 @@ impl fmt::Display for SimError {
             SimError::UnknownResource => write!(f, "step referenced an unknown lock or barrier"),
             SimError::EventLimitExceeded => write!(f, "event limit exceeded"),
             SimError::TimeOverflow => write!(f, "simulated time overflowed u64 nanoseconds"),
+            SimError::SeqOverflow => write!(f, "event sequence number overflowed"),
             SimError::NoProcessors => write!(f, "need at least one processor"),
             SimError::Config(e) => write!(f, "{e}"),
             SimError::FaultPlan(e) => write!(f, "{e}"),
@@ -139,10 +143,14 @@ fn scale(d: Duration, factor: f64) -> Duration {
 
 /// `t + d` for an event time: the one place the engine adds time, so an
 /// overflow is a typed error in every build profile instead of a silent
-/// wrap (release) or a panic (debug).
+/// wrap (release) or a panic (debug). The error is built only on the
+/// overflow path: `ok_or` would build and drop a `SimError` on every add.
 #[inline]
 fn after(t: SimTime, d: Duration) -> Result<SimTime, SimError> {
-    t.checked_add(d).ok_or(SimError::TimeOverflow)
+    match t.checked_add(d) {
+        Some(t) => Ok(t),
+        None => Err(SimError::TimeOverflow),
+    }
 }
 
 /// Grant a freed lock to its first waiter (if any) at `free_at`, accounting
@@ -159,8 +167,7 @@ fn grant_next_waiter<M: MetricsSink>(
     faults: &FaultPlan,
     stats: &mut [ProcStats],
     status: &mut [ProcStatus],
-    queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-    seq: &mut u64,
+    queue: &mut EventQueue,
     metrics: &mut M,
 ) -> Result<(), SimError> {
     let Some((w, since)) = l.waiters.pop_front() else { return Ok(()) };
@@ -187,9 +194,7 @@ fn grant_next_waiter<M: MetricsSink>(
         metrics.lock_acquired(lock_idx, acq_cost, span, attempts);
     }
     status[wi] = ProcStatus::Ready;
-    queue.push(Reverse((granted.as_nanos(), *seq, wi)));
-    *seq += 1;
-    Ok(())
+    queue.schedule(wi, granted)
 }
 
 /// Release a completed barrier: schedule every arrived processor at the
@@ -206,8 +211,7 @@ fn release_barrier(
     stats: &mut [ProcStats],
     status: &mut [ProcStatus],
     leader_flag: &mut [bool],
-    queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-    seq: &mut u64,
+    queue: &mut EventQueue,
     leader: Option<usize>,
 ) -> Result<(), SimError> {
     let latest = b.arrived.iter().map(|&(_, at)| at).max().unwrap_or(at_least);
@@ -220,8 +224,7 @@ fn release_barrier(
     for &(w, at) in b.arrived.iter().rev() {
         stats[w.0].barrier_wait += release - at;
         status[w.0] = ProcStatus::Ready;
-        queue.push(Reverse((release.as_nanos(), *seq, w.0)));
-        *seq += 1;
+        queue.schedule(w.0, release)?;
     }
     b.arrived.clear();
     Ok(())
@@ -298,7 +301,7 @@ pub struct Machine {
     dirty_locks: Vec<usize>,
     /// Scheduler event queue, kept across runs so its allocation is
     /// paid once per machine instead of once per run.
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    queue: EventQueue,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,7 +341,7 @@ impl Machine {
             barriers: Vec::new(),
             event_limit: None,
             dirty_locks: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
         })
     }
 
@@ -418,8 +421,9 @@ impl Machine {
     /// # Errors
     ///
     /// Returns a [`SimError`] on deadlock, lock misuse, unknown resources,
-    /// when the event limit is exceeded, or when simulated time would
-    /// overflow ([`SimError::TimeOverflow`]).
+    /// when the event limit is exceeded, or when simulated time or the
+    /// event counter would overflow ([`SimError::TimeOverflow`],
+    /// [`SimError::SeqOverflow`]).
     pub fn run<'a>(
         &mut self,
         processes: Vec<Box<dyn Process + 'a>>,
@@ -450,7 +454,6 @@ impl Machine {
         let mut stats = vec![ProcStats::default(); n];
         let mut status = vec![ProcStatus::Ready; n];
         let mut leader_flag = vec![false; n];
-        let mut seq: u64 = 0;
         let mut events: u64 = 0;
         let mut done = 0usize;
         let mut dead = 0usize;
@@ -473,28 +476,20 @@ impl Machine {
             b.participants = b.size;
             b.arrived.clear();
         }
-        queue.clear();
-
-        let push = |queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                    seq: &mut u64,
-                    t: SimTime,
-                    p: usize| {
-            queue.push(Reverse((t.as_nanos(), *seq, p)));
-            *seq += 1;
-        };
-
+        queue.reset(n);
         for p in 0..n {
-            push(queue, &mut seq, SimTime::ZERO, p);
+            queue.schedule(p, SimTime::ZERO)?;
         }
 
-        while let Some(Reverse((t_ns, _, p))) = queue.pop() {
+        // Every event ends by rescheduling or parking its own processor,
+        // which replaces the handled event in the queue.
+        while let Some((now, p)) = queue.peek() {
             events += 1;
             if let Some(limit) = *event_limit {
                 if events > limit {
                     return Err(SimError::EventLimitExceeded);
                 }
             }
-            let now = SimTime::from_nanos(t_ns);
             debug_assert_eq!(status[p], ProcStatus::Ready);
 
             // Crash-stop faults take effect at the processor's next
@@ -504,6 +499,7 @@ impl Machine {
             if crash_at[p].is_some_and(|c| now >= c) {
                 stats[p].crashed_at = Some(now);
                 status[p] = ProcStatus::Dead;
+                queue.park(p);
                 dead += 1;
                 if M::ENABLED {
                     metrics.counter("sim_proc_crashes", 1);
@@ -538,7 +534,6 @@ impl Machine {
                         &mut stats,
                         &mut status,
                         queue,
-                        &mut seq,
                         metrics,
                     )?;
                 }
@@ -558,7 +553,6 @@ impl Machine {
                             &mut status,
                             &mut leader_flag,
                             queue,
-                            &mut seq,
                             None,
                         )?;
                     }
@@ -571,7 +565,7 @@ impl Machine {
             // account — a hung processor executes nothing — but lock
             // waiters and barrier peers feel the delay.
             if let Some(resume) = faults.stall_until(p, now) {
-                push(queue, &mut seq, resume, p);
+                queue.schedule(p, resume)?;
                 continue;
             }
 
@@ -607,10 +601,10 @@ impl Machine {
                     // granularity of the event engine).
                     let d = scale(d, faults.compute_factor(p, t_eff));
                     stats[p].compute += d;
-                    push(queue, &mut seq, after(t_eff, d)?, p);
+                    queue.schedule(p, after(t_eff, d)?)?;
                 }
                 Step::Yield => {
-                    push(queue, &mut seq, t_eff, p);
+                    queue.schedule(p, t_eff)?;
                 }
                 Step::Acquire(lock) => {
                     let cost =
@@ -635,10 +629,11 @@ impl Machine {
                             l.held_since = acquired;
                             metrics.lock_acquired(lock.0, cost, Duration::ZERO, 0);
                         }
-                        push(queue, &mut seq, acquired, p);
+                        queue.schedule(p, acquired)?;
                     } else {
                         l.waiters.push_back((ProcId(p), t_eff));
                         status[p] = ProcStatus::Blocked;
+                        queue.park(p);
                     }
                 }
                 Step::Release(lock) => {
@@ -673,10 +668,9 @@ impl Machine {
                         &mut stats,
                         &mut status,
                         queue,
-                        &mut seq,
                         metrics,
                     )?;
-                    push(queue, &mut seq, released_at, p);
+                    queue.schedule(p, released_at)?;
                 }
                 Step::Barrier(barrier) => {
                     // Straggler faults delay this processor's arrival.
@@ -700,16 +694,17 @@ impl Machine {
                             &mut status,
                             &mut leader_flag,
                             queue,
-                            &mut seq,
                             Some(p),
                         )?;
                     } else {
                         status[p] = ProcStatus::Blocked;
+                        queue.park(p);
                     }
                 }
                 Step::Done => {
                     stats[p].done_at = Some(t_eff);
                     status[p] = ProcStatus::Finished;
+                    queue.park(p);
                     done += 1;
                 }
             }
@@ -950,6 +945,45 @@ mod tests {
         let l = m.add_lock();
         let p = Script::new(vec![Step::Compute(Duration::from_nanos(u64::MAX)), Step::Acquire(l)]);
         assert_eq!(m.run(vec![Box::new(p)]).unwrap_err(), SimError::TimeOverflow);
+    }
+
+    #[test]
+    fn processors_due_at_one_instant_run_in_scheduling_order() {
+        // Processor i computes (4 - i) ms, then (6 + i) ms: all four are due
+        // at 10 ms, scheduled there in the order 3, 2, 1, 0 — the reverse
+        // of their ids, so id order cannot pass for scheduling order.
+        struct P {
+            id: usize,
+            state: u32,
+            log: std::rc::Rc<std::cell::RefCell<Vec<(SimTime, usize)>>>,
+        }
+        impl Process for P {
+            fn step(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
+                self.state += 1;
+                self.log.borrow_mut().push((ctx.now(), self.id));
+                match self.state {
+                    1 => Step::Compute(ms(4 - self.id as u64)),
+                    2 => Step::Compute(ms(6 + self.id as u64)),
+                    _ => Step::Done,
+                }
+            }
+        }
+        let log = std::rc::Rc::default();
+        let procs: Vec<Box<dyn Process>> = (0..4)
+            .map(|id| {
+                Box::new(P { id, state: 0, log: std::rc::Rc::clone(&log) }) as Box<dyn Process>
+            })
+            .collect();
+        Machine::new(MachineConfig::default()).run(procs).unwrap();
+        let at_10: Vec<usize> = log
+            .borrow()
+            .iter()
+            .filter(|&&(t, _)| t == SimTime::ZERO + ms(10))
+            .map(|&(_, p)| p)
+            .collect();
+        assert_eq!(at_10, [3, 2, 1, 0]);
+        // At time zero the initial schedule is in id order.
+        assert_eq!(log.borrow()[..4].iter().map(|&(_, p)| p).collect::<Vec<_>>(), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -442,7 +442,7 @@ struct Driver<'a, S: TraceSink, J: JournalSink> {
     /// Stuck-sampling watchdog factor ([`RunConfig::sampling_watchdog`]).
     sampling_watchdog: Option<u32>,
     /// First unrecoverable runtime error. Once set, every processor winds
-    /// down at its next step and [`run_app`] returns this error.
+    /// down at its next body boundary and [`run_app`] returns this error.
     error: Option<SimError>,
     /// Run-wide tally of health-machine activity, published as named
     /// metrics counters when the run completes.
@@ -925,10 +925,32 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
     }
 
     /// Return the next buffered step, or transition to the continuation.
+    /// Most steps come from here and need no driver.
+    #[inline]
     fn drain(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
         if let Some(&step) = self.ops.steps.get(self.cursor) {
             self.cursor += 1;
             return step;
+        }
+        self.end_body(ctx)
+    }
+
+    /// Once any processor hit an unrecoverable error, everyone winds down
+    /// at its next body boundary (errors arise only at section
+    /// boundaries); run_app reports the recorded error instead of
+    /// statistics. Returns whether this processor wound down.
+    fn wound_down(&mut self) -> bool {
+        let failed = self.driver.borrow().error.is_some();
+        if failed {
+            self.state = PState::Finished;
+        }
+        failed
+    }
+
+    /// The buffered body is drained: go on to its continuation.
+    fn end_body(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
+        if self.wound_down() {
+            return Step::Done;
         }
         let after = match self.state {
             PState::Drain(a) => a,
@@ -1022,15 +1044,15 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
 
 impl<'a, S: TraceSink, J: JournalSink> Process for AppProcess<'a, S, J> {
     fn step(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
-        // Once any processor hit an unrecoverable error, everyone winds
-        // down; run_app reports the recorded error instead of statistics.
-        if !matches!(self.state, PState::Finished) && self.driver.borrow().error.is_some() {
-            self.state = PState::Finished;
+        if let PState::Drain(_) = self.state {
+            return self.drain(ctx);
+        }
+        if self.wound_down() {
             return Step::Done;
         }
         match self.state {
             PState::Finished => Step::Done,
-            PState::Drain(_) => self.drain(ctx),
+            PState::Drain(_) => unreachable!("drained above"),
             PState::PollTimer => unreachable!("poll handled inline"),
             PState::AfterBarrier => {
                 if ctx.is_barrier_leader() {
