@@ -69,17 +69,3 @@ pub fn run_dynamic(num_procs: usize, controller: ControllerConfig) -> RunConfig 
     config.machine = machine_config();
     config
 }
-
-/// The controller configuration used by the paper's main experiments:
-/// 10 ms target sampling intervals and 100 s target production intervals
-/// (long enough that each parallel section executes one sampling phase and
-/// one production phase — §6.1).
-#[must_use]
-pub fn paper_controller() -> ControllerConfig {
-    ControllerConfig {
-        num_policies: 3,
-        target_sampling: Duration::from_millis(10),
-        target_production: Duration::from_secs(100),
-        ..ControllerConfig::default()
-    }
-}

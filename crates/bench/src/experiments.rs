@@ -176,24 +176,6 @@ impl Scale {
     }
 }
 
-/// The benchmark-scale Barnes-Hut instance (kept for ad-hoc callers).
-#[must_use]
-pub fn bh_spec() -> AppSpec {
-    Scale::full().specs().into_iter().find(|s| s.name == "Barnes-Hut").expect("spec exists")
-}
-
-/// The benchmark-scale Water instance.
-#[must_use]
-pub fn water_spec() -> AppSpec {
-    Scale::full().specs().into_iter().find(|s| s.name == "Water").expect("spec exists")
-}
-
-/// The benchmark-scale String instance.
-#[must_use]
-pub fn string_spec() -> AppSpec {
-    Scale::full().specs().into_iter().find(|s| s.name == "String").expect("spec exists")
-}
-
 /// The dynamic-feedback controller used for benchmark runs.
 #[must_use]
 pub fn bench_controller() -> ControllerConfig {

@@ -24,7 +24,7 @@
 //! compiled program runs directly on the simulated multiprocessor under
 //! any static policy or under dynamic feedback.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{calls_in, dfs, CallGraph};
 use crate::commutativity::{analyze_extent, CommutativityReport};
 use crate::effects::EffectsMap;
 use crate::interp::{CostModel, Heap, HostRegistry, Interp, ProgramEnv, Value};
@@ -32,7 +32,9 @@ use crate::lockplace::insert_default_regions;
 use crate::native::{compile_native, compile_native_reusing, NativeExec, NativeModule};
 use crate::syncopt::{optimize, FnSet, Policy};
 use crate::vm::{lower_body, lower_functions, VmModule};
-use dynfb_lang::hir::{body_size, Expr, ExprKind, FuncId, Function, Hir, LocalId, Place, Stmt, Ty};
+use dynfb_lang::hir::{
+    body_size, visit_stmts, Expr, ExprKind, FuncId, Function, Hir, LocalId, Place, Stmt, Ty,
+};
 use dynfb_sim::{LockId, Machine, OpSink, PlanEntry, SectionKind, SimApp};
 use std::collections::HashMap;
 use std::fmt;
@@ -168,37 +170,25 @@ fn collect_regions(
     out: &mut Vec<RegionInfo>,
 ) -> usize {
     let mut visited = 0;
-    for s in stmts {
-        match s {
-            Stmt::Critical { lock_obj, body, regions } => {
-                visited += 1;
-                if let Ty::Object(cid) = lock_obj.ty {
-                    let class = &classes[cid.0].name;
-                    let entry = match out.iter_mut().find(|r| &r.class == class) {
-                        Some(e) => e,
-                        None => {
-                            out.push(RegionInfo { class: class.clone(), sources: Vec::new() });
-                            out.last_mut().expect("just pushed")
-                        }
-                    };
-                    for tag in regions {
-                        if !entry.sources.contains(tag) {
-                            entry.sources.push(tag.clone());
-                        }
-                    }
+    visit_stmts(stmts, &mut |s| {
+        let Stmt::Critical { lock_obj, regions, .. } = s else { return };
+        visited += 1;
+        if let Ty::Object(cid) = lock_obj.ty {
+            let class = &classes[cid.0].name;
+            let entry = match out.iter_mut().find(|r| &r.class == class) {
+                Some(e) => e,
+                None => {
+                    out.push(RegionInfo { class: class.clone(), sources: Vec::new() });
+                    out.last_mut().expect("just pushed")
                 }
-                visited += collect_regions(body, classes, out);
+            };
+            for tag in regions {
+                if !entry.sources.contains(tag) {
+                    entry.sources.push(tag.clone());
+                }
             }
-            Stmt::If { then_branch, else_branch, .. } => {
-                visited += collect_regions(then_branch, classes, out);
-                visited += collect_regions(else_branch, classes, out);
-            }
-            Stmt::While { body, .. } | Stmt::CountedFor { body, .. } => {
-                visited += collect_regions(body, classes, out);
-            }
-            _ => {}
         }
-    }
+    });
     visited
 }
 
@@ -250,21 +240,8 @@ impl VersionCode {
 
 /// Indices of the functions in `funcs` reachable from `body`, ascending.
 fn reachable(funcs: &[Function], body: &[Stmt]) -> Vec<usize> {
-    let mut calls = Vec::new();
-    crate::callgraph::collect_calls_stmts(body, &mut calls);
-    let mut seen = vec![false; funcs.len()];
-    let mut stack: Vec<usize> = calls.iter().map(|f| f.0).collect();
-    let mut out = Vec::new();
-    while let Some(i) = stack.pop() {
-        if i >= seen.len() || seen[i] {
-            continue;
-        }
-        seen[i] = true;
-        out.push(i);
-        calls.clear();
-        crate::callgraph::collect_calls_stmts(&funcs[i].body, &mut calls);
-        stack.extend(calls.iter().map(|f| f.0));
-    }
+    let mut out: Vec<usize> =
+        dfs(funcs.len(), calls_in(body), |f| calls_in(&funcs[f.0].body)).map(|f| f.0).collect();
     out.sort_unstable();
     out
 }
@@ -792,31 +769,6 @@ impl CompiledApp {
                 }
             })
             .collect()
-    }
-
-    /// Execute a nullary function outside the simulation (for test
-    /// harnesses that need to pre-build state; costs are discarded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the function is missing or fails at runtime.
-    pub fn run_function_unsimulated(&mut self, name: &str) {
-        let func = self.hir.function_named(name).expect("function exists");
-        let mut sink = OpSink::default();
-        let mut interp = Interp {
-            env: &mut self.env,
-            funcs: &self.serial_funcs,
-            cost: self.cost,
-            sink: &mut sink,
-            lock_base: self.lock_base.unwrap_or_else(|| {
-                // Outside a simulation there is no machine; use a dummy pool.
-                let mut m = Machine::new(dynfb_sim::MachineConfig::default());
-                m.add_locks(1)
-            }),
-            lock_capacity: self.max_objects,
-            fuel: self.fuel,
-        };
-        interp.call(func.0, None, vec![]).unwrap_or_else(|e| panic!("`{name}` failed: {e}"));
     }
 
     /// Per-section, per-version code sizes `(section, version, bytes)`,

@@ -5,8 +5,9 @@
 //! no cycles in the call graph" (§3 of the paper). This module computes the
 //! static call graph of a program and, for every function, whether it can
 //! reach a call-graph cycle — the predicate the Bounded policy queries.
+//! [`dfs`] is the one reachability search every pass shares.
 
-use dynfb_lang::hir::{Expr, ExprKind, FuncId, Hir, Place, Stmt};
+use dynfb_lang::hir::{visit_exprs_stmts, ExprKind, FuncId, Function, Hir, Stmt};
 
 /// The static call graph of a program.
 #[derive(Debug, Clone)]
@@ -24,189 +25,95 @@ impl CallGraph {
     /// Build the call graph for a program.
     #[must_use]
     pub fn build(hir: &Hir) -> Self {
-        let n = hir.functions.len();
-        let mut callees: Vec<Vec<FuncId>> = vec![Vec::new(); n];
-        for (i, f) in hir.functions.iter().enumerate() {
-            let mut out = Vec::new();
-            collect_calls_stmts(&f.body, &mut out);
-            out.dedup();
-            let mut seen = Vec::new();
-            for c in out {
-                if !seen.contains(&c) {
-                    seen.push(c);
-                }
-            }
-            callees[i] = seen;
-        }
+        Self::from_functions(&hir.functions)
+    }
 
-        // Tarjan-style SCC via iterative Kosaraju is overkill at this size;
-        // use the simple coloring DFS to find functions on cycles.
+    /// Build the call graph of a function table (a program's, or a policy's
+    /// table with its generated clones). Calls to indices outside the table
+    /// are not edges.
+    #[must_use]
+    pub fn from_functions(functions: &[Function]) -> Self {
+        let n = functions.len();
+        let callees: Vec<Vec<FuncId>> = functions
+            .iter()
+            .map(|f| {
+                let mut uniq = Vec::new();
+                for c in calls_in(&f.body) {
+                    if c.0 < n && !uniq.contains(&c) {
+                        uniq.push(c);
+                    }
+                }
+                uniq
+            })
+            .collect();
+        let succ = |f: FuncId| callees[f.0].iter().copied();
         // A function is recursive iff it can reach itself.
         let recursive: Vec<bool> =
-            (0..n).map(|start| reaches(&callees, FuncId(start), FuncId(start))).collect();
-        let mut reaches_cycle = vec![false; n];
-        for start in 0..n {
-            reaches_cycle[start] =
-                recursive[start] || any_reachable(&callees, FuncId(start), |f| recursive[f.0]);
-        }
+            (0..n).map(|f| dfs(n, succ(FuncId(f)), succ).any(|g| g.0 == f)).collect();
+        let reaches_cycle =
+            (0..n).map(|f| dfs(n, [FuncId(f)], succ).any(|g| recursive[g.0])).collect();
         CallGraph { callees, recursive, reaches_cycle }
     }
 
     /// All functions reachable from `roots` (including the roots).
     #[must_use]
     pub fn reachable(&self, roots: &[FuncId]) -> Vec<FuncId> {
-        let mut seen = vec![false; self.callees.len()];
-        let mut stack: Vec<FuncId> = roots.to_vec();
-        let mut out = Vec::new();
-        while let Some(f) = stack.pop() {
-            if seen[f.0] {
-                continue;
-            }
-            seen[f.0] = true;
-            out.push(f);
-            for &c in &self.callees[f.0] {
-                stack.push(c);
-            }
-        }
+        let succ = |f: FuncId| self.callees[f.0].iter().copied();
+        let mut out: Vec<FuncId> = dfs(self.callees.len(), roots.iter().copied(), succ).collect();
         out.sort();
         out
     }
 }
 
-/// Can `from` reach `target` through one or more call edges?
-fn reaches(callees: &[Vec<FuncId>], from: FuncId, target: FuncId) -> bool {
-    let mut seen = vec![false; callees.len()];
-    let mut stack: Vec<FuncId> = callees[from.0].clone();
-    while let Some(f) = stack.pop() {
-        if f == target {
-            return true;
+/// Depth-first search over the functions `0..n`, yielding each function
+/// when it is visited. A LIFO stack starts with `roots`; the first pop of a
+/// function visits it (later pops, and indices outside `0..n`, are
+/// skipped), and `succ(f)` is pushed, in order, when the search resumes.
+pub fn dfs<S: IntoIterator<Item = FuncId>>(
+    n: usize,
+    roots: impl IntoIterator<Item = FuncId>,
+    mut succ: impl FnMut(FuncId) -> S,
+) -> impl Iterator<Item = FuncId> {
+    let mut seen = vec![false; n];
+    let mut stack: Vec<FuncId> = roots.into_iter().collect();
+    let mut visited: Option<FuncId> = None;
+    std::iter::from_fn(move || {
+        if let Some(f) = visited.take() {
+            stack.extend(succ(f));
         }
-        if seen[f.0] {
-            continue;
+        while let Some(f) = stack.pop() {
+            if f.0 < n && !std::mem::replace(&mut seen[f.0], true) {
+                visited = Some(f);
+                return Some(f);
+            }
         }
-        seen[f.0] = true;
-        stack.extend(callees[f.0].iter().copied());
-    }
-    false
+        None
+    })
 }
 
-fn any_reachable(callees: &[Vec<FuncId>], from: FuncId, pred: impl Fn(FuncId) -> bool) -> bool {
-    let mut seen = vec![false; callees.len()];
-    let mut stack = vec![from];
-    while let Some(f) = stack.pop() {
-        if seen[f.0] {
-            continue;
+/// Every `FuncId` called anywhere in a statement list, in source pre-order
+/// (a call before its receiver and arguments), duplicates kept.
+#[must_use]
+pub fn calls_in(stmts: &[Stmt]) -> Vec<FuncId> {
+    let mut out = Vec::new();
+    visit_exprs_stmts(stmts, &mut |e| {
+        if let ExprKind::CallFn { func, .. } | ExprKind::CallMethod { func, .. } = &e.kind {
+            out.push(*func);
         }
-        seen[f.0] = true;
-        if pred(f) {
-            return true;
-        }
-        stack.extend(callees[f.0].iter().copied());
-    }
-    false
+    });
+    out
 }
 
-/// Collect every `FuncId` called anywhere in a statement list.
+/// Append [`calls_in`]`(stmts)` to `out`.
 pub fn collect_calls_stmts(stmts: &[Stmt], out: &mut Vec<FuncId>) {
-    for s in stmts {
-        collect_calls_stmt(s, out);
-    }
-}
-
-fn collect_calls_stmt(s: &Stmt, out: &mut Vec<FuncId>) {
-    match s {
-        Stmt::Assign { place, value } => {
-            collect_calls_place(place, out);
-            collect_calls_expr(value, out);
-        }
-        Stmt::If { cond, then_branch, else_branch } => {
-            collect_calls_expr(cond, out);
-            collect_calls_stmts(then_branch, out);
-            collect_calls_stmts(else_branch, out);
-        }
-        Stmt::While { cond, body } => {
-            collect_calls_expr(cond, out);
-            collect_calls_stmts(body, out);
-        }
-        Stmt::CountedFor { start, bound, body, .. } => {
-            collect_calls_expr(start, out);
-            collect_calls_expr(bound, out);
-            collect_calls_stmts(body, out);
-        }
-        Stmt::Return(e) => {
-            if let Some(e) = e {
-                collect_calls_expr(e, out);
-            }
-        }
-        Stmt::Expr(e) => collect_calls_expr(e, out),
-        Stmt::Critical { lock_obj, body, .. } => {
-            collect_calls_expr(lock_obj, out);
-            collect_calls_stmts(body, out);
-        }
-    }
-}
-
-fn collect_calls_place(p: &Place, out: &mut Vec<FuncId>) {
-    match p {
-        Place::Local(_) | Place::Global(_) => {}
-        Place::Field { obj, .. } => collect_calls_expr(obj, out),
-        Place::Index { arr, idx } => {
-            collect_calls_expr(arr, out);
-            collect_calls_expr(idx, out);
-        }
-    }
-}
-
-/// Collect every `FuncId` called anywhere in an expression.
-pub fn collect_calls_expr(e: &Expr, out: &mut Vec<FuncId>) {
-    match &e.kind {
-        ExprKind::CallFn { func, args } => {
-            out.push(*func);
-            for a in args {
-                collect_calls_expr(a, out);
-            }
-        }
-        ExprKind::CallMethod { obj, func, args } => {
-            out.push(*func);
-            collect_calls_expr(obj, out);
-            for a in args {
-                collect_calls_expr(a, out);
-            }
-        }
-        ExprKind::CallExtern { args, .. } => {
-            for a in args {
-                collect_calls_expr(a, out);
-            }
-        }
-        ExprKind::FieldGet { obj, .. } => collect_calls_expr(obj, out),
-        ExprKind::Index { arr, idx } => {
-            collect_calls_expr(arr, out);
-            collect_calls_expr(idx, out);
-        }
-        ExprKind::ArrayLen(a) => collect_calls_expr(a, out),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            collect_calls_expr(lhs, out);
-            collect_calls_expr(rhs, out);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::IntToDouble(expr) => {
-            collect_calls_expr(expr, out);
-        }
-        ExprKind::NewArray { len, .. } => collect_calls_expr(len, out),
-        ExprKind::Int(_)
-        | ExprKind::Double(_)
-        | ExprKind::Bool(_)
-        | ExprKind::Null
-        | ExprKind::This
-        | ExprKind::Local(_)
-        | ExprKind::Global(_)
-        | ExprKind::New { .. } => {}
-    }
+    out.extend(calls_in(stmts));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dynfb_lang::compile_source;
+    use dynfb_lang::hir::Expr;
 
     #[test]
     fn detects_direct_and_mutual_recursion() {
@@ -241,6 +148,59 @@ mod tests {
         let a = hir.function_named("a").unwrap();
         let all = cg.reachable(&[a]);
         assert_eq!(all.len(), 3);
+    }
+
+    #[test]
+    fn callees_follow_source_pre_order() {
+        // One callee per syntactic position, named in the order the walk
+        // must find them; `val` is called twice and listed once.
+        let mut hir = compile_source(
+            "class c { int v; int get(int k) { return k; } }
+             c obj(int k) { return null; }
+             int[] arr(int k) { return null; }
+             int idx(int k) { return k; }
+             int val(int k) { return k; }
+             bool cond(int k) { return true; }
+             int thn(int k) { return k; }
+             int els(int k) { return k; }
+             bool wcond(int k) { return false; }
+             int start(int k) { return k; }
+             int bound(int k) { return k; }
+             c recv(int k) { return null; }
+             int arg(int k) { return k; }
+             c lock(int k) { return null; }
+             int ret(int k) { return k; }
+             int all() {
+                 obj(0).v = val(0);
+                 arr(0)[idx(0)] = val(1);
+                 if (cond(0)) { thn(0); } else { els(0); }
+                 while (wcond(0)) { }
+                 for (int i = start(0); i < bound(0); i++) { }
+                 recv(0).get(arg(0));
+                 return ret(0);
+             }",
+        )
+        .unwrap();
+        let id = |name: &str| hir.function_named(name).unwrap();
+        let get = hir.method_named(dynfb_lang::hir::ClassId(0), "get").unwrap();
+        let expected: Vec<FuncId> =
+            ["obj", "val", "arr", "idx", "cond", "thn", "els", "wcond", "start", "bound"]
+                .into_iter()
+                .map(id)
+                .chain([get, id("recv"), id("arg"), id("lock"), id("ret")])
+                .collect();
+        // The front end never emits a critical region; put one, locking
+        // the object `lock(0)` returns, just before the `return`.
+        let lock = Expr {
+            kind: ExprKind::CallFn { func: id("lock"), args: vec![Expr::int(0)] },
+            ty: hir.functions[id("lock").0].ret.clone(),
+        };
+        let all = id("all").0;
+        let body = &mut hir.functions[all].body;
+        let ret = body.pop().unwrap();
+        body.push(Stmt::Critical { lock_obj: lock, body: vec![], regions: vec![] });
+        body.push(ret);
+        assert_eq!(CallGraph::build(&hir).callees[all], expected);
     }
 
     #[test]

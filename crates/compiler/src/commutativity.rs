@@ -19,10 +19,13 @@
 //!    second instance of itself) is executed symbolically in both orders;
 //!    the resulting states must have identical normal forms.
 
-use crate::callgraph::CallGraph;
-use crate::effects::{visit_exprs_stmts, EffectsMap, FieldRef};
+use crate::callgraph::{calls_in, CallGraph};
+use crate::effects::{writes_of, EffectsMap, FieldRef};
 use crate::symbolic::Sym;
-use dynfb_lang::hir::{BinOp, ClassId, Expr, ExprKind, FuncId, Hir, Place, Stmt, Ty, UnOp};
+use dynfb_lang::hir::{
+    visit_exprs, visit_exprs_stmts, visit_stmts, BinOp, ClassId, Expr, ExprKind, FuncId, Hir,
+    Place, Stmt, Ty, UnOp,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The symbolic effect of one update operation on its receiver.
@@ -288,9 +291,13 @@ impl<'a> SymExec<'a> {
     /// inside, and locals assigned within become unknowns.
     fn branch_guard(&mut self, cond: &Expr, bodies: &[&[Stmt]]) -> Result<(), Reason> {
         // Track this-field reads in the condition.
-        let mut cond_fields = BTreeSet::new();
-        collect_this_reads_expr(cond, &mut cond_fields);
-        self.cond_reads.extend(cond_fields);
+        visit_exprs(cond, &mut |x| {
+            if let ExprKind::FieldGet { obj, field, .. } = &x.kind {
+                if matches!(obj.kind, ExprKind::This) {
+                    self.cond_reads.insert(*field);
+                }
+            }
+        });
         let _ = self.eval(cond)?;
         self.branch_body(bodies)
     }
@@ -309,15 +316,23 @@ impl<'a> SymExec<'a> {
             // commutative update, so an unknown number of them composes to
             // a commutative update with an unknown operand.
             self.compose_iterated(body)?;
-            // Record reads and havoc assigned locals.
-            let mut fields = BTreeSet::new();
-            collect_this_reads_stmts(body, &mut fields);
-            self.cond_reads.extend(fields);
-            let mut foreign = BTreeSet::new();
-            collect_foreign_reads_stmts(body, &mut foreign);
-            self.foreign_reads.extend(foreign);
+            // Record reads and havoc assigned locals (not counted-loop
+            // induction variables).
+            visit_exprs_stmts(body, &mut |x| {
+                if let ExprKind::FieldGet { obj, class, field } = &x.kind {
+                    if matches!(obj.kind, ExprKind::This) {
+                        self.cond_reads.insert(*field);
+                    } else {
+                        self.foreign_reads.insert((*class, *field));
+                    }
+                }
+            });
             let mut assigned = Vec::new();
-            collect_assigned_locals(body, &mut assigned);
+            visit_stmts(body, &mut |s| {
+                if let Stmt::Assign { place: Place::Local(l), .. } = s {
+                    assigned.push(l.0);
+                }
+            });
             for l in assigned {
                 self.env[l] = Some(self.fresh());
             }
@@ -382,26 +397,15 @@ impl<'a> SymExec<'a> {
         // Impure calls in *value* positions are still rejected: collect the
         // statement-level call expressions (handled above) by identity and
         // flag any other impure call.
-        let mut stmt_calls: Vec<*const Expr> = Vec::new();
-        fn collect_stmt_calls(stmts: &[Stmt], out: &mut Vec<*const Expr>) {
-            for s in stmts {
-                match s {
-                    Stmt::Expr(e) => out.push(e as *const Expr),
-                    Stmt::If { then_branch, else_branch, .. } => {
-                        collect_stmt_calls(then_branch, out);
-                        collect_stmt_calls(else_branch, out);
-                    }
-                    Stmt::While { body, .. }
-                    | Stmt::CountedFor { body, .. }
-                    | Stmt::Critical { body, .. } => collect_stmt_calls(body, out),
-                    _ => {}
-                }
+        let mut stmt_calls: Vec<&Expr> = Vec::new();
+        visit_stmts(stmts, &mut |s| {
+            if let Stmt::Expr(e) = s {
+                stmt_calls.push(e);
             }
-        }
-        collect_stmt_calls(stmts, &mut stmt_calls);
+        });
         let mut bad: Option<String> = None;
         visit_exprs_stmts(stmts, &mut |x| {
-            if bad.is_some() || stmt_calls.contains(&(x as *const Expr)) {
+            if bad.is_some() || stmt_calls.iter().any(|&e| std::ptr::eq(e, x)) {
                 return;
             }
             if let ExprKind::CallMethod { func, .. } | ExprKind::CallFn { func, .. } = &x.kind {
@@ -667,7 +671,7 @@ pub fn analyze_extent(
     let mut reasons = Vec::new();
 
     // 1. The loop body itself must only write locals.
-    let body_effects = scan_body(loop_body);
+    let body_effects = writes_of(loop_body);
     if !body_effects.this_writes.is_empty() || !body_effects.other_writes.is_empty() {
         reasons.push("loop body writes object fields directly".to_string());
     }
@@ -679,9 +683,7 @@ pub fn analyze_extent(
     }
 
     // 2. Collect the extent.
-    let mut roots = Vec::new();
-    crate::callgraph::collect_calls_stmts(loop_body, &mut roots);
-    let extent = callgraph.reachable(&roots);
+    let extent = callgraph.reachable(&calls_in(loop_body));
 
     // 3. Classify extent functions by their *direct* effects: functions
     // that directly update their receiver are summarized as operations;
@@ -815,93 +817,12 @@ pub fn analyze_extent(
     CommutativityReport { parallelizable: reasons.is_empty(), reasons, extent, updaters, written }
 }
 
-/// Write-effects of a bare statement list (reads are checked separately).
-fn scan_body(body: &[Stmt]) -> crate::effects::Effects {
-    let mut e = crate::effects::Effects::default();
-    fn walk(stmts: &[Stmt], e: &mut crate::effects::Effects) {
-        for s in stmts {
-            match s {
-                Stmt::Assign { place, .. } => match place {
-                    Place::Local(_) => {}
-                    Place::Global(g) => {
-                        e.global_writes.insert(g.0);
-                    }
-                    Place::Field { obj, class, field } => {
-                        if matches!(obj.kind, ExprKind::This) {
-                            e.this_writes.insert((*class, *field));
-                        } else {
-                            e.other_writes.insert((*class, *field));
-                        }
-                    }
-                    Place::Index { .. } => e.array_writes = true,
-                },
-                Stmt::If { then_branch, else_branch, .. } => {
-                    walk(then_branch, e);
-                    walk(else_branch, e);
-                }
-                Stmt::While { body, .. } => walk(body, e),
-                Stmt::CountedFor { body, .. } => walk(body, e),
-                Stmt::Critical { body, .. } => walk(body, e),
-                Stmt::Return(_) | Stmt::Expr(_) => {}
-            }
-        }
-    }
-    walk(body, &mut e);
-    e
-}
-
 fn writes_this_fields(stmts: &[Stmt]) -> bool {
-    let e = scan_body(stmts);
+    let e = writes_of(stmts);
     !e.this_writes.is_empty()
         || !e.other_writes.is_empty()
         || !e.global_writes.is_empty()
         || e.array_writes
-}
-
-fn collect_assigned_locals(stmts: &[Stmt], out: &mut Vec<usize>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { place: Place::Local(l), .. } => out.push(l.0),
-            Stmt::If { then_branch, else_branch, .. } => {
-                collect_assigned_locals(then_branch, out);
-                collect_assigned_locals(else_branch, out);
-            }
-            Stmt::While { body, .. }
-            | Stmt::CountedFor { body, .. }
-            | Stmt::Critical { body, .. } => collect_assigned_locals(body, out),
-            _ => {}
-        }
-    }
-}
-
-fn collect_this_reads_expr(e: &Expr, out: &mut BTreeSet<usize>) {
-    crate::effects::visit_exprs(e, &mut |x| {
-        if let ExprKind::FieldGet { obj, field, .. } = &x.kind {
-            if matches!(obj.kind, ExprKind::This) {
-                out.insert(*field);
-            }
-        }
-    });
-}
-
-fn collect_this_reads_stmts(stmts: &[Stmt], out: &mut BTreeSet<usize>) {
-    visit_exprs_stmts(stmts, &mut |x| {
-        if let ExprKind::FieldGet { obj, field, .. } = &x.kind {
-            if matches!(obj.kind, ExprKind::This) {
-                out.insert(*field);
-            }
-        }
-    });
-}
-
-fn collect_foreign_reads_stmts(stmts: &[Stmt], out: &mut BTreeSet<FieldRef>) {
-    visit_exprs_stmts(stmts, &mut |x| {
-        if let ExprKind::FieldGet { obj, class, field } = &x.kind {
-            if !matches!(obj.kind, ExprKind::This) {
-                out.insert((*class, *field));
-            }
-        }
-    });
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //! closed transitively over the call graph.
 
 use crate::callgraph::CallGraph;
-use dynfb_lang::hir::{ClassId, Expr, ExprKind, FuncId, Hir, Place, Stmt};
+use dynfb_lang::hir::{
+    visit_exprs_stmts, visit_stmts, ClassId, ExprKind, FuncId, Hir, Place, Stmt,
+};
 use std::collections::BTreeSet;
 
 /// A field of some class.
@@ -70,12 +72,6 @@ impl Effects {
             && !self.array_writes
             && !self.allocates
     }
-
-    /// Every field written, regardless of how it was reached.
-    #[must_use]
-    pub fn all_field_writes(&self) -> BTreeSet<FieldRef> {
-        self.this_writes.union(&self.other_writes).copied().collect()
-    }
 }
 
 /// Effects for every function: `direct[f]` is `f`'s own body only,
@@ -93,12 +89,7 @@ impl EffectsMap {
     #[must_use]
     pub fn build(hir: &Hir, callgraph: &CallGraph) -> Self {
         let n = hir.functions.len();
-        let mut direct = Vec::with_capacity(n);
-        for f in &hir.functions {
-            let mut e = Effects::default();
-            scan_stmts(&f.body, &mut e);
-            direct.push(e);
-        }
+        let direct: Vec<Effects> = hir.functions.iter().map(|f| scan_stmts(&f.body)).collect();
         // Fixpoint closure (graphs are tiny; iterate until stable).
         let mut transitive = direct.clone();
         loop {
@@ -144,181 +135,47 @@ pub fn collect_calls_with_receiver(stmts: &[Stmt], out: &mut Vec<(FuncId, bool)>
     });
 }
 
-fn scan_stmts(stmts: &[Stmt], e: &mut Effects) {
-    for s in stmts {
-        scan_stmt(s, e);
-    }
-}
-
-fn scan_stmt(s: &Stmt, e: &mut Effects) {
-    match s {
-        Stmt::Assign { place, value } => {
-            scan_expr(value, e);
-            match place {
-                Place::Local(_) => {}
-                Place::Global(g) => {
-                    e.global_writes.insert(g.0);
-                }
-                Place::Field { obj, class, field } => {
-                    scan_expr(obj, e);
-                    if matches!(obj.kind, ExprKind::This) {
-                        e.this_writes.insert((*class, *field));
-                    } else {
-                        e.other_writes.insert((*class, *field));
-                    }
-                }
-                Place::Index { arr, idx } => {
-                    scan_expr(arr, e);
-                    scan_expr(idx, e);
-                    e.array_writes = true;
-                }
+/// The writes of every assignment in a statement list; the read, array-read
+/// and allocation fields stay empty.
+pub(crate) fn writes_of(stmts: &[Stmt]) -> Effects {
+    let mut e = Effects::default();
+    visit_stmts(stmts, &mut |s| match s {
+        Stmt::Assign { place: Place::Global(g), .. } => {
+            e.global_writes.insert(g.0);
+        }
+        Stmt::Assign { place: Place::Field { obj, class, field }, .. } => {
+            if matches!(obj.kind, ExprKind::This) {
+                e.this_writes.insert((*class, *field));
+            } else {
+                e.other_writes.insert((*class, *field));
             }
         }
-        Stmt::If { cond, then_branch, else_branch } => {
-            scan_expr(cond, e);
-            scan_stmts(then_branch, e);
-            scan_stmts(else_branch, e);
-        }
-        Stmt::While { cond, body } => {
-            scan_expr(cond, e);
-            scan_stmts(body, e);
-        }
-        Stmt::CountedFor { start, bound, body, .. } => {
-            scan_expr(start, e);
-            scan_expr(bound, e);
-            scan_stmts(body, e);
-        }
-        Stmt::Return(v) => {
-            if let Some(v) = v {
-                scan_expr(v, e);
-            }
-        }
-        Stmt::Expr(x) => scan_expr(x, e),
-        Stmt::Critical { lock_obj, body, .. } => {
-            scan_expr(lock_obj, e);
-            scan_stmts(body, e);
-        }
-    }
+        Stmt::Assign { place: Place::Index { .. }, .. } => e.array_writes = true,
+        _ => {}
+    });
+    e
 }
 
-fn scan_expr(x: &Expr, e: &mut Effects) {
-    match &x.kind {
+/// Direct effects of a statement list: [`writes_of`] plus the reads and
+/// allocations of its expressions.
+fn scan_stmts(stmts: &[Stmt]) -> Effects {
+    let mut e = writes_of(stmts);
+    visit_exprs_stmts(stmts, &mut |x| match &x.kind {
         ExprKind::FieldGet { obj, class, field } => {
-            scan_expr(obj, e);
             if matches!(obj.kind, ExprKind::This) {
                 e.this_reads.insert((*class, *field));
             } else {
                 e.other_reads.insert((*class, *field));
             }
         }
-        ExprKind::Index { arr, idx } => {
-            scan_expr(arr, e);
-            scan_expr(idx, e);
-            e.array_reads = true;
-        }
-        ExprKind::ArrayLen(a) => scan_expr(a, e),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            scan_expr(lhs, e);
-            scan_expr(rhs, e);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::IntToDouble(expr) => scan_expr(expr, e),
-        ExprKind::CallFn { args, .. } | ExprKind::CallExtern { args, .. } => {
-            for a in args {
-                scan_expr(a, e);
-            }
-        }
-        ExprKind::CallMethod { obj, args, .. } => {
-            scan_expr(obj, e);
-            for a in args {
-                scan_expr(a, e);
-            }
-        }
+        ExprKind::Index { .. } => e.array_reads = true,
         ExprKind::Global(g) => {
             e.global_reads.insert(g.0);
         }
-        ExprKind::New { .. } => e.allocates = true,
-        ExprKind::NewArray { len, .. } => {
-            scan_expr(len, e);
-            e.allocates = true;
-        }
-        ExprKind::Int(_)
-        | ExprKind::Double(_)
-        | ExprKind::Bool(_)
-        | ExprKind::Null
-        | ExprKind::This
-        | ExprKind::Local(_) => {}
-    }
-}
-
-/// Visit every expression in a statement list (pre-order).
-pub fn visit_exprs_stmts(stmts: &[Stmt], f: &mut impl FnMut(&Expr)) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { place, value } => {
-                match place {
-                    Place::Field { obj, .. } => visit_exprs(obj, f),
-                    Place::Index { arr, idx } => {
-                        visit_exprs(arr, f);
-                        visit_exprs(idx, f);
-                    }
-                    _ => {}
-                }
-                visit_exprs(value, f);
-            }
-            Stmt::If { cond, then_branch, else_branch } => {
-                visit_exprs(cond, f);
-                visit_exprs_stmts(then_branch, f);
-                visit_exprs_stmts(else_branch, f);
-            }
-            Stmt::While { cond, body } => {
-                visit_exprs(cond, f);
-                visit_exprs_stmts(body, f);
-            }
-            Stmt::CountedFor { start, bound, body, .. } => {
-                visit_exprs(start, f);
-                visit_exprs(bound, f);
-                visit_exprs_stmts(body, f);
-            }
-            Stmt::Return(Some(v)) => visit_exprs(v, f),
-            Stmt::Return(None) => {}
-            Stmt::Expr(x) => visit_exprs(x, f),
-            Stmt::Critical { lock_obj, body, .. } => {
-                visit_exprs(lock_obj, f);
-                visit_exprs_stmts(body, f);
-            }
-        }
-    }
-}
-
-/// Visit an expression and its children (pre-order).
-pub fn visit_exprs(x: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(x);
-    match &x.kind {
-        ExprKind::FieldGet { obj, .. } => visit_exprs(obj, f),
-        ExprKind::Index { arr, idx } => {
-            visit_exprs(arr, f);
-            visit_exprs(idx, f);
-        }
-        ExprKind::ArrayLen(a) => visit_exprs(a, f),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            visit_exprs(lhs, f);
-            visit_exprs(rhs, f);
-        }
-        ExprKind::Unary { expr, .. } | ExprKind::IntToDouble(expr) => visit_exprs(expr, f),
-        ExprKind::CallFn { args, .. } | ExprKind::CallExtern { args, .. } => {
-            for a in args {
-                visit_exprs(a, f);
-            }
-        }
-        ExprKind::CallMethod { obj, args, .. } => {
-            visit_exprs(obj, f);
-            for a in args {
-                visit_exprs(a, f);
-            }
-        }
-        ExprKind::NewArray { len, .. } => visit_exprs(len, f),
+        ExprKind::New { .. } | ExprKind::NewArray { .. } => e.allocates = true,
         _ => {}
-    }
+    });
+    e
 }
 
 #[cfg(test)]

@@ -103,27 +103,9 @@ fn wrap_runs(stmts: Vec<Stmt>, lock: &Expr, naming: &mut Naming, inserted: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::syncopt::count_regions;
     use dynfb_lang::compile_source;
     use dynfb_lang::hir::ClassId;
-
-    fn count_criticals(stmts: &[Stmt]) -> usize {
-        let mut n = 0;
-        for s in stmts {
-            match s {
-                Stmt::Critical { body, .. } => {
-                    n += 1 + count_criticals(body);
-                }
-                Stmt::If { then_branch, else_branch, .. } => {
-                    n += count_criticals(then_branch) + count_criticals(else_branch);
-                }
-                Stmt::While { body, .. } | Stmt::CountedFor { body, .. } => {
-                    n += count_criticals(body);
-                }
-                _ => {}
-            }
-        }
-        n
-    }
 
     #[test]
     fn separate_runs_get_separate_regions() {
@@ -141,7 +123,7 @@ mod tests {
         .unwrap();
         let mut func = hir.functions[hir.method_named(ClassId(0), "m").unwrap().0].clone();
         assert!(insert_default_regions(&mut func));
-        assert_eq!(count_criticals(&func.body), 2);
+        assert_eq!(count_regions(&func.body), 2);
     }
 
     #[test]
@@ -153,7 +135,7 @@ mod tests {
         .unwrap();
         let mut func = hir.functions[hir.method_named(ClassId(0), "m").unwrap().0].clone();
         insert_default_regions(&mut func);
-        assert_eq!(count_criticals(&func.body), 1);
+        assert_eq!(count_regions(&func.body), 1);
     }
 
     #[test]
@@ -161,7 +143,7 @@ mod tests {
         let hir = compile_source("class c { double x; double get() { return this.x; } }").unwrap();
         let mut func = hir.functions[0].clone();
         assert!(!insert_default_regions(&mut func));
-        assert_eq!(count_criticals(&func.body), 0);
+        assert_eq!(count_regions(&func.body), 0);
     }
 
     #[test]
@@ -173,6 +155,6 @@ mod tests {
         .unwrap();
         let mut func = hir.functions[0].clone();
         insert_default_regions(&mut func);
-        assert_eq!(count_criticals(&func.body), 1);
+        assert_eq!(count_regions(&func.body), 1);
     }
 }

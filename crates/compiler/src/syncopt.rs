@@ -41,7 +41,10 @@
 //! By construction the transformations never nest critical regions, so the
 //! generated code cannot deadlock on object locks.
 
-use dynfb_lang::hir::{body_size, Expr, ExprKind, Function, Stmt, Ty};
+use crate::callgraph::{calls_in, dfs, CallGraph};
+use dynfb_lang::hir::{
+    body_size, visit_exprs, visit_stmts, Expr, ExprKind, FuncId, Function, Place, Stmt, Ty,
+};
 use std::collections::HashMap;
 
 /// A synchronization optimization policy.
@@ -143,64 +146,19 @@ struct Facts {
 
 fn compute_facts(set: &FnSet) -> Facts {
     let n = set.functions.len();
-    let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, f) in set.functions.iter().enumerate() {
-        let mut out = Vec::new();
-        crate::callgraph::collect_calls_stmts(&f.body, &mut out);
-        let mut uniq = Vec::new();
-        for c in out {
-            if c.0 < n && !uniq.contains(&c.0) {
-                uniq.push(c.0);
-            }
-        }
-        callees[i] = uniq;
-    }
+    let cg = CallGraph::from_functions(&set.functions);
     // synced: fixpoint.
-    let mut synced: Vec<bool> = set.functions.iter().map(|f| contains_critical(&f.body)).collect();
+    let mut synced: Vec<bool> = set.functions.iter().map(|f| count_regions(&f.body) > 0).collect();
     loop {
         let mut changed = false;
         for i in 0..n {
-            if !synced[i] && callees[i].iter().any(|&c| synced[c]) {
+            if !synced[i] && cg.callees[i].iter().any(|c| synced[c.0]) {
                 synced[i] = true;
                 changed = true;
             }
         }
         if !changed {
             break;
-        }
-    }
-    // reaches_cycle.
-    let mut on_cycle = vec![false; n];
-    for i in 0..n {
-        // i is on a cycle iff reachable from its own callees.
-        let mut seen = vec![false; n];
-        let mut stack = callees[i].clone();
-        while let Some(f) = stack.pop() {
-            if f == i {
-                on_cycle[i] = true;
-                break;
-            }
-            if seen[f] {
-                continue;
-            }
-            seen[f] = true;
-            stack.extend(callees[f].iter().copied());
-        }
-    }
-    let mut reaches_cycle = vec![false; n];
-    for (i, reaches) in reaches_cycle.iter_mut().enumerate() {
-        let mut seen = vec![false; n];
-        let mut stack = vec![i];
-        while let Some(f) = stack.pop() {
-            if seen[f] {
-                continue;
-            }
-            seen[f] = true;
-            if on_cycle[f] {
-                *reaches = true;
-                break;
-            }
-            stack.extend(callees[f].iter().copied());
         }
     }
     // this_only: coinductive fixpoint, start optimistic.
@@ -220,7 +178,7 @@ fn compute_facts(set: &FnSet) -> Facts {
             break;
         }
     }
-    Facts { synced, reaches_cycle, this_only }
+    Facts { synced, reaches_cycle: cg.reaches_cycle, this_only }
 }
 
 /// Append each tag of `more` not already present — the order-preserving
@@ -236,33 +194,11 @@ fn extend_unique(into: &mut Vec<String>, more: &[String]) {
 /// Collect the region tags of every critical region in `stmts`, recursing
 /// through control flow and nested regions, in source order.
 fn collect_region_tags(stmts: &[Stmt], out: &mut Vec<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Critical { body, regions, .. } => {
-                extend_unique(out, regions);
-                collect_region_tags(body, out);
-            }
-            Stmt::If { then_branch, else_branch, .. } => {
-                collect_region_tags(then_branch, out);
-                collect_region_tags(else_branch, out);
-            }
-            Stmt::While { body, .. } | Stmt::CountedFor { body, .. } => {
-                collect_region_tags(body, out);
-            }
-            _ => {}
+    visit_stmts(stmts, &mut |s| {
+        if let Stmt::Critical { regions, .. } = s {
+            extend_unique(out, regions);
         }
-    }
-}
-
-fn contains_critical(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Critical { .. } => true,
-        Stmt::If { then_branch, else_branch, .. } => {
-            contains_critical(then_branch) || contains_critical(else_branch)
-        }
-        Stmt::While { body, .. } | Stmt::CountedFor { body, .. } => contains_critical(body),
-        _ => false,
-    })
+    });
 }
 
 /// Check the `this_only` property over one body, assuming `assumed` for
@@ -272,7 +208,7 @@ fn this_only_sync_body(stmts: &[Stmt], synced: &[bool], assumed: &[bool]) -> boo
     // `this` to a this_only callee; criticals must lock `this`.
     fn expr_calls_synced(e: &Expr, synced: &[bool]) -> bool {
         let mut bad = false;
-        crate::effects::visit_exprs(e, &mut |x| match &x.kind {
+        visit_exprs(e, &mut |x| match &x.kind {
             ExprKind::CallFn { func, .. } | ExprKind::CallMethod { func, .. }
                 if synced.get(func.0).copied().unwrap_or(false) =>
             {
@@ -325,11 +261,8 @@ fn this_only_sync_body(stmts: &[Stmt], synced: &[bool], assumed: &[bool]) -> boo
 /// synchronization at all: no critical region and no call to a synced
 /// function.
 fn absorbable(s: &Stmt, synced: &[bool]) -> bool {
-    !contains_critical(std::slice::from_ref(s)) && {
-        let mut calls = Vec::new();
-        crate::callgraph::collect_calls_stmts(std::slice::from_ref(s), &mut calls);
-        calls.iter().all(|f| !synced.get(f.0).copied().unwrap_or(false))
-    }
+    let s = std::slice::from_ref(s);
+    count_regions(s) == 0 && calls_in(s).iter().all(|f| !synced.get(f.0).copied().unwrap_or(false))
 }
 
 /// Static lock class of a lock-object expression (its declared object
@@ -344,24 +277,11 @@ fn lock_class(lock: &Expr) -> Option<usize> {
 /// Static size proxy (HIR nodes) for the dynamic extent of a candidate
 /// region: the statements themselves plus every function transitively
 /// reachable from them — what [`Policy::BoundedK`]'s budget is checked
-/// against.
+/// against. The search follows raw call lists of the current table, not a
+/// [`CallGraph`]: lifting appends clones while the policy runs.
 fn region_size(stmts: &[Stmt], funcs: &[Function]) -> usize {
-    let mut total = body_size(stmts);
-    let mut calls = Vec::new();
-    crate::callgraph::collect_calls_stmts(stmts, &mut calls);
-    let mut seen = vec![false; funcs.len()];
-    let mut stack: Vec<usize> = calls.iter().map(|f| f.0).collect();
-    while let Some(f) = stack.pop() {
-        if f >= funcs.len() || seen[f] {
-            continue;
-        }
-        seen[f] = true;
-        total += body_size(&funcs[f].body);
-        let mut inner = Vec::new();
-        crate::callgraph::collect_calls_stmts(&funcs[f].body, &mut inner);
-        stack.extend(inner.iter().map(|c| c.0));
-    }
-    total
+    let reached = dfs(funcs.len(), calls_in(stmts), |f| calls_in(&funcs[f.0].body));
+    body_size(stmts) + reached.map(|f| body_size(&funcs[f.0].body)).sum::<usize>()
 }
 
 /// The policy decision on a candidate region, given the facts that matter:
@@ -394,38 +314,28 @@ fn region_ok(
     facts: &Facts,
     funcs: &[Function],
 ) -> bool {
-    let mut calls = Vec::new();
-    crate::callgraph::collect_calls_stmts(stmts, &mut calls);
-    let no_cycles = calls.iter().all(|f| !facts.reaches_cycle.get(f.0).copied().unwrap_or(true));
+    let no_cycles =
+        calls_in(stmts).iter().all(|f| !facts.reaches_cycle.get(f.0).copied().unwrap_or(true));
     policy_allows(policy, class, no_cycles, || region_size(stmts, funcs))
 }
 
 /// Locals referenced by an expression.
 fn locals_in(e: &Expr, out: &mut Vec<usize>) {
-    crate::effects::visit_exprs(e, &mut |x| {
+    visit_exprs(e, &mut |x| {
         if let ExprKind::Local(l) = &x.kind {
             out.push(l.0);
         }
     });
 }
 
-/// Locals assigned anywhere in these statements.
+/// Locals assigned anywhere in these statements, counted-loop induction
+/// variables included.
 fn assigned_locals(stmts: &[Stmt], out: &mut Vec<usize>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { place: dynfb_lang::hir::Place::Local(l), .. } => out.push(l.0),
-            Stmt::If { then_branch, else_branch, .. } => {
-                assigned_locals(then_branch, out);
-                assigned_locals(else_branch, out);
-            }
-            Stmt::While { body, .. } | Stmt::Critical { body, .. } => assigned_locals(body, out),
-            Stmt::CountedFor { var, body, .. } => {
-                out.push(var.0);
-                assigned_locals(body, out);
-            }
-            _ => {}
-        }
-    }
+    visit_stmts(stmts, &mut |s| match s {
+        Stmt::Assign { place: Place::Local(l), .. } => out.push(l.0),
+        Stmt::CountedFor { var, .. } => out.push(var.0),
+        _ => {}
+    });
 }
 
 /// Is the lock expression side-effect free (safe to evaluate twice) and
@@ -433,7 +343,7 @@ fn assigned_locals(stmts: &[Stmt], out: &mut Vec<usize>) {
 fn lock_stable(lock: &Expr, stmts: &[Stmt]) -> bool {
     // Side-effect free: no calls, no allocation.
     let mut pure = true;
-    crate::effects::visit_exprs(lock, &mut |x| {
+    visit_exprs(lock, &mut |x| {
         if matches!(
             x.kind,
             ExprKind::CallFn { .. }
@@ -569,7 +479,7 @@ impl<'a> Rewriter<'a> {
         let call = Expr {
             kind: ExprKind::CallMethod {
                 obj: obj.clone(),
-                func: dynfb_lang::hir::FuncId(clone),
+                func: FuncId(clone),
                 args: args.clone(),
             },
             ty: e.ty.clone(),
@@ -581,21 +491,13 @@ impl<'a> Rewriter<'a> {
     /// Region tags of every critical region reachable from function `fi`
     /// (its own body plus transitive callees) — the provenance a lifted
     /// region absorbs when the callee's synchronization moves to the call
-    /// site. Deterministic DFS order, first occurrence wins.
+    /// site. Deterministic DFS order, first occurrence wins; like
+    /// [`region_size`], it follows the current table's raw call lists.
     fn transitive_region_tags(&self, fi: usize) -> Vec<String> {
-        let n = self.set.functions.len();
-        let mut seen = vec![false; n];
+        let funcs = &self.set.functions;
         let mut out = Vec::new();
-        let mut stack = vec![fi];
-        while let Some(f) = stack.pop() {
-            if f >= n || seen[f] {
-                continue;
-            }
-            seen[f] = true;
-            collect_region_tags(&self.set.functions[f].body, &mut out);
-            let mut calls = Vec::new();
-            crate::callgraph::collect_calls_stmts(&self.set.functions[f].body, &mut calls);
-            stack.extend(calls.iter().map(|c| c.0));
+        for f in dfs(funcs.len(), [FuncId(fi)], |f| calls_in(&funcs[f.0].body)) {
+            collect_region_tags(&funcs[f.0].body, &mut out);
         }
         out
     }
@@ -767,7 +669,7 @@ fn strip_sync(stmts: Vec<Stmt>, rw: &mut Rewriter<'_>) -> Vec<Stmt> {
                         out.push(Stmt::Expr(Expr {
                             kind: ExprKind::CallMethod {
                                 obj: obj.clone(),
-                                func: dynfb_lang::hir::FuncId(clone),
+                                func: FuncId(clone),
                                 args: args.clone(),
                             },
                             ty: e.ty.clone(),
@@ -788,18 +690,7 @@ fn strip_sync(stmts: Vec<Stmt>, rw: &mut Rewriter<'_>) -> Vec<Stmt> {
 #[must_use]
 pub fn count_regions(stmts: &[Stmt]) -> usize {
     let mut n = 0;
-    for s in stmts {
-        match s {
-            Stmt::Critical { body, .. } => n += 1 + count_regions(body),
-            Stmt::If { then_branch, else_branch, .. } => {
-                n += count_regions(then_branch) + count_regions(else_branch);
-            }
-            Stmt::While { body, .. } | Stmt::CountedFor { body, .. } => {
-                n += count_regions(body);
-            }
-            _ => {}
-        }
-    }
+    visit_stmts(stmts, &mut |s| n += usize::from(matches!(s, Stmt::Critical { .. })));
     n
 }
 
@@ -912,6 +803,25 @@ mod tests {
             panic!("expected hoisted region");
         };
         assert_eq!(regions, &vec!["one_interaction#0".to_string()]);
+    }
+
+    #[test]
+    fn transitive_region_tags_pop_the_last_call_first() {
+        // `f` calls `a`, `b`, then `a` again. The search pushes every call,
+        // so the second `a` is popped first: `a`'s tags come before `b`'s.
+        // Deduplicated callees would have visited `b` first.
+        let (hir, mut set) = prepared(
+            "class c { double x; double y;
+                 void a() { this.x += 1.0; }
+                 void b() { this.y += 1.0; }
+                 void f() { this.a(); this.b(); this.a(); this.x += 2.0; }
+             }",
+        );
+        let facts = compute_facts(&set);
+        let rw =
+            Rewriter { set: &mut set, policy: Policy::Aggressive, facts: &facts, changed: false };
+        let f = hir.method_named(dynfb_lang::hir::ClassId(0), "f").unwrap();
+        assert_eq!(rw.transitive_region_tags(f.0), ["f#0", "a#0", "b#0"]);
     }
 
     #[test]

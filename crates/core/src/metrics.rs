@@ -25,6 +25,7 @@
 //!   exposition format; [`profile_json`] renders a stable JSON document.
 //!   Both are deterministic: identical registries produce identical bytes.
 
+use crate::trace::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -282,13 +283,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// A registry seeded from externally accumulated per-lock rows (e.g. a
-    /// realtime [`LockTable::snapshot`]), indexed by lock id.
-    #[must_use]
-    pub fn from_lock_rows(rows: Vec<LockMetrics>) -> Self {
-        MetricsRegistry { locks: rows, counters: BTreeMap::new() }
-    }
-
     /// Per-lock metrics, indexed by lock id. Locks past the highest
     /// recorded id are absent; untouched lower ids are all-zero.
     #[must_use]
@@ -459,21 +453,6 @@ impl LockTable {
             })
             .collect()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Escape a Prometheus label value (`\`, `"`, and newline).

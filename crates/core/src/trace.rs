@@ -359,7 +359,9 @@ fn ts_us(d: Duration) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape a string for a JSON string literal: `"`, `\` and control
+/// characters (as `\u00XX`). The trace and metrics exporters share it.
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

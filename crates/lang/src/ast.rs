@@ -310,21 +310,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    /// True for `+` and `*` — the associative-commutative operators the
-    /// commutativity analysis recognizes in update expressions.
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Mul)
-    }
-
-    /// True for comparison operators.
-    #[must_use]
-    pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-    }
-}
-
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]

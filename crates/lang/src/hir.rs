@@ -203,12 +203,6 @@ impl Hir {
     pub fn class_named(&self, name: &str) -> Option<ClassId> {
         self.classes.iter().position(|c| c.name == name).map(ClassId)
     }
-
-    /// Look up a global by name.
-    #[must_use]
-    pub fn global_named(&self, name: &str) -> Option<GlobalId> {
-        self.globals.iter().position(|g| g.name == name).map(GlobalId)
-    }
 }
 
 /// An l-value.
@@ -412,57 +406,142 @@ impl Expr {
     }
 }
 
+/// Visit every statement in source pre-order: each statement, then the
+/// bodies it holds (an `If`'s then branch before its else branch). This and
+/// [`visit_exprs_stmts`] are the one generic HIR walk; analyses are
+/// callbacks on them, and only code that rewrites or translates the HIR
+/// matches on statement kinds itself.
+pub fn visit_stmts<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+    for s in stmts {
+        f(s);
+        match s {
+            Stmt::If { then_branch, else_branch, .. } => {
+                visit_stmts(then_branch, f);
+                visit_stmts(else_branch, f);
+            }
+            Stmt::While { body, .. }
+            | Stmt::CountedFor { body, .. }
+            | Stmt::Critical { body, .. } => visit_stmts(body, f),
+            Stmt::Assign { .. } | Stmt::Return(_) | Stmt::Expr(_) => {}
+        }
+    }
+}
+
+/// Visit every expression in a statement list (pre-order): per statement,
+/// its place's operands, then its own expressions, then its nested bodies.
+pub fn visit_exprs_stmts(stmts: &[Stmt], f: &mut impl FnMut(&Expr)) {
+    visit_stmts(stmts, &mut |s| match s {
+        Stmt::Assign { place, value } => {
+            match place {
+                Place::Field { obj, .. } => visit_exprs(obj, f),
+                Place::Index { arr, idx } => {
+                    visit_exprs(arr, f);
+                    visit_exprs(idx, f);
+                }
+                Place::Local(_) | Place::Global(_) => {}
+            }
+            visit_exprs(value, f);
+        }
+        Stmt::If { cond, .. } | Stmt::While { cond, .. } => visit_exprs(cond, f),
+        Stmt::CountedFor { start, bound, .. } => {
+            visit_exprs(start, f);
+            visit_exprs(bound, f);
+        }
+        Stmt::Return(Some(x)) | Stmt::Expr(x) | Stmt::Critical { lock_obj: x, .. } => {
+            visit_exprs(x, f);
+        }
+        Stmt::Return(None) => {}
+    });
+}
+
+/// Visit an expression and its children (pre-order).
+pub fn visit_exprs(x: &Expr, f: &mut impl FnMut(&Expr)) {
+    f(x);
+    match &x.kind {
+        ExprKind::FieldGet { obj, .. } => visit_exprs(obj, f),
+        ExprKind::Index { arr, idx } => {
+            visit_exprs(arr, f);
+            visit_exprs(idx, f);
+        }
+        ExprKind::ArrayLen(a) => visit_exprs(a, f),
+        ExprKind::Binary { lhs, rhs, .. } => {
+            visit_exprs(lhs, f);
+            visit_exprs(rhs, f);
+        }
+        ExprKind::Unary { expr, .. } | ExprKind::IntToDouble(expr) => visit_exprs(expr, f),
+        ExprKind::CallFn { args, .. } | ExprKind::CallExtern { args, .. } => {
+            for a in args {
+                visit_exprs(a, f);
+            }
+        }
+        ExprKind::CallMethod { obj, args, .. } => {
+            visit_exprs(obj, f);
+            for a in args {
+                visit_exprs(a, f);
+            }
+        }
+        ExprKind::NewArray { len, .. } => visit_exprs(len, f),
+        _ => {}
+    }
+}
+
 /// Count the HIR nodes of a function body — the code-size metric used for
 /// the Table 1 reproduction (a node is roughly an emitted instruction).
+/// Each expression node counts one, and each statement adds a per-kind
+/// weight: 2 for an assignment (the store and its target), a counted loop
+/// (test and increment) and a critical region (acquire and release), 0 for
+/// an expression statement (its call is the node), 1 for the rest.
 #[must_use]
 pub fn body_size(stmts: &[Stmt]) -> usize {
-    stmts.iter().map(stmt_size).sum()
+    let mut n = 0;
+    visit_stmts(stmts, &mut |s| {
+        n += match s {
+            Stmt::Expr(_) => 0,
+            Stmt::If { .. } | Stmt::While { .. } | Stmt::Return(_) => 1,
+            Stmt::Assign { .. } | Stmt::CountedFor { .. } | Stmt::Critical { .. } => 2,
+        }
+    });
+    visit_exprs_stmts(stmts, &mut |_| n += 1);
+    n
 }
 
-fn stmt_size(s: &Stmt) -> usize {
-    match s {
-        Stmt::Assign { place, value } => 1 + place_size(place) + expr_size(value),
-        Stmt::If { cond, then_branch, else_branch } => {
-            1 + expr_size(cond) + body_size(then_branch) + body_size(else_branch)
-        }
-        Stmt::While { cond, body } => 1 + expr_size(cond) + body_size(body),
-        Stmt::CountedFor { start, bound, body, .. } => {
-            2 + expr_size(start) + expr_size(bound) + body_size(body)
-        }
-        Stmt::Return(e) => 1 + e.as_ref().map_or(0, expr_size),
-        Stmt::Expr(e) => expr_size(e),
-        Stmt::Critical { lock_obj, body, .. } => 2 + expr_size(lock_obj) + body_size(body),
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile_source;
 
-fn place_size(p: &Place) -> usize {
-    match p {
-        Place::Local(_) | Place::Global(_) => 1,
-        Place::Field { obj, .. } => 1 + expr_size(obj),
-        Place::Index { arr, idx } => 1 + expr_size(arr) + expr_size(idx),
-    }
-}
-
-fn expr_size(e: &Expr) -> usize {
-    match &e.kind {
-        ExprKind::Int(_)
-        | ExprKind::Double(_)
-        | ExprKind::Bool(_)
-        | ExprKind::Null
-        | ExprKind::This
-        | ExprKind::Local(_)
-        | ExprKind::Global(_)
-        | ExprKind::New { .. } => 1,
-        ExprKind::FieldGet { obj, .. } => 1 + expr_size(obj),
-        ExprKind::Index { arr, idx } => 1 + expr_size(arr) + expr_size(idx),
-        ExprKind::ArrayLen(a) => 1 + expr_size(a),
-        ExprKind::Binary { lhs, rhs, .. } => 1 + expr_size(lhs) + expr_size(rhs),
-        ExprKind::Unary { expr, .. } | ExprKind::IntToDouble(expr) => 1 + expr_size(expr),
-        ExprKind::CallFn { args, .. } => 1 + args.iter().map(expr_size).sum::<usize>(),
-        ExprKind::CallMethod { obj, args, .. } => {
-            1 + expr_size(obj) + args.iter().map(expr_size).sum::<usize>()
-        }
-        ExprKind::CallExtern { args, .. } => 1 + args.iter().map(expr_size).sum::<usize>(),
-        ExprKind::NewArray { len, .. } => 1 + expr_size(len),
+    #[test]
+    fn body_size_matches_a_hand_count_over_every_statement_kind() {
+        let hir = compile_source(
+            "class c { int v; int get(int k) { return k; } }
+             int g;
+             int f(c o, int[] a, int n) {
+                 o.v = n + 1;
+                 a[n] = 0;
+                 g = -n;
+                 if (n > 0) { o.get(n); } else { return 1; }
+                 while (n < 3) { n = n + 1; }
+                 for (int i = 0; i < n; i++) { }
+                 return a.length;
+             }",
+        )
+        .unwrap();
+        let f = &hir.functions[hir.function_named("f").unwrap().0];
+        let mut body = f.body.clone();
+        let ret = body.pop().unwrap();
+        let o = Expr::local(LocalId(0), Ty::Object(ClassId(0)));
+        body.push(Stmt::Critical { lock_obj: o, body: vec![], regions: vec![] });
+        body.push(ret);
+        let hand = [
+            6,         // o.v = n + 1: statement, place, o, +, n, 1
+            5,         // a[n] = 0: statement, place, a, n, 0
+            4,         // g = -n: statement, place, -, n
+            4 + 3 + 2, // if: statement, >, n, 0; o.get(n): call, o, n; return 1
+            4 + 5,     // while: statement, <, n, 3; n = n + 1: statement, place, +, n, 1
+            4,         // for: statement, increment, 0, n
+            3,         // critical: acquire, release, o
+            3,         // return a.length: statement, length, a
+        ];
+        assert_eq!(body_size(&body), hand.iter().sum::<usize>());
     }
 }

@@ -4,7 +4,7 @@
 //! `synchronized (obj) { ... }` blocks, making the policy transformations
 //! (the paper's Figure 1 → Figure 2) directly visible.
 
-use crate::hir::{BinOp, Expr, ExprKind, Function, Hir, Place, Stmt, Ty, UnOp};
+use crate::hir::{visit_stmts, BinOp, Expr, ExprKind, Function, Hir, Place, Stmt, Ty, UnOp};
 use std::fmt::Write as _;
 
 /// Render one function as source-like text.
@@ -59,22 +59,11 @@ pub fn print_program(hir: &Hir) -> String {
 
 /// Slot indices of every `CountedFor` induction variable in `stmts`.
 fn collect_loop_vars(stmts: &[Stmt], out: &mut Vec<usize>) {
-    for s in stmts {
-        match s {
-            Stmt::CountedFor { var, body, .. } => {
-                out.push(var.0);
-                collect_loop_vars(body, out);
-            }
-            Stmt::If { then_branch, else_branch, .. } => {
-                collect_loop_vars(then_branch, out);
-                collect_loop_vars(else_branch, out);
-            }
-            Stmt::While { body, .. } | Stmt::Critical { body, .. } => {
-                collect_loop_vars(body, out);
-            }
-            Stmt::Assign { .. } | Stmt::Return(_) | Stmt::Expr(_) => {}
+    visit_stmts(stmts, &mut |s| {
+        if let Stmt::CountedFor { var, .. } = s {
+            out.push(var.0);
         }
-    }
+    });
 }
 
 fn ty(hir: &Hir, t: &Ty) -> String {

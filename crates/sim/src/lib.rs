@@ -36,7 +36,7 @@ pub mod time;
 
 pub use config::{MachineConfig, MachineConfigError};
 pub use faults::{ChaosProfile, FaultEvent, FaultKind, FaultPlan, FaultPlanError, Target, Window};
-pub use machine::{LockUsage, Machine, SimError};
+pub use machine::{Machine, SimError};
 pub use process::{BarrierId, LockId, ProcCtx, ProcId, Process, Step};
 pub use runtime::{
     run_app, run_app_flight_recorded, run_app_ref, AppReport, OpSink, PlanEntry, RunConfig,

@@ -187,8 +187,6 @@ fn grant_next_waiter<M: MetricsSink>(
     stats[wi].acquires += 1;
     stats[wi].lock_time += acq_cost;
     l.holder = Some(w);
-    l.acquires += 1;
-    l.contended_acquires += 1;
     if M::ENABLED {
         l.held_since = granted;
         metrics.lock_acquired(lock_idx, acq_cost, span, attempts);
@@ -234,8 +232,6 @@ fn release_barrier(
 struct LockState {
     holder: Option<ProcId>,
     waiters: VecDeque<(ProcId, SimTime)>,
-    acquires: u64,
-    contended_acquires: u64,
     /// When the current holder completed its acquire — only maintained
     /// while a [`MetricsSink`] is attached (hold-time attribution).
     held_since: SimTime,
@@ -252,15 +248,6 @@ struct BarrierState {
     /// Live rendezvous size: shrinks when a participant crash-stops.
     participants: usize,
     arrived: Vec<(ProcId, SimTime)>,
-}
-
-/// Per-lock usage statistics, available after a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockUsage {
-    /// Total successful acquires of this lock.
-    pub acquires: u64,
-    /// Acquires that had to wait for another processor.
-    pub contended_acquires: u64,
 }
 
 /// A simulated shared-memory multiprocessor.
@@ -364,12 +351,6 @@ impl Machine {
         Ok(())
     }
 
-    /// The active fault-injection plan.
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Create a new spin lock (e.g. one per application object).
     pub fn add_lock(&mut self) -> LockId {
         self.locks.push(LockState::default());
@@ -407,13 +388,6 @@ impl Machine {
     /// many events (guards tests against runaway processes).
     pub fn set_event_limit(&mut self, limit: u64) {
         self.event_limit = Some(limit);
-    }
-
-    /// Per-lock usage counts from the last run.
-    #[must_use]
-    pub fn lock_usage(&self, lock: LockId) -> LockUsage {
-        let l = &self.locks[lock.0];
-        LockUsage { acquires: l.acquires, contended_acquires: l.contended_acquires }
     }
 
     /// Run one process per processor until all finish.
@@ -467,8 +441,6 @@ impl Machine {
             let l = &mut locks[i];
             l.holder = None;
             l.waiters.clear();
-            l.acquires = 0;
-            l.contended_acquires = 0;
             l.dirty = false;
         }
         dirty_locks.clear();
@@ -622,7 +594,6 @@ impl Machine {
                     if l.holder.is_none() {
                         let acquired = after(t_eff, cost)?;
                         l.holder = Some(ProcId(p));
-                        l.acquires += 1;
                         stats[p].acquires += 1;
                         stats[p].lock_time += cost;
                         if M::ENABLED {
@@ -800,13 +771,14 @@ mod tests {
             Step::Done,
         ]);
         let p1 = Script::new(vec![Step::Acquire(l), Step::Release(l), Step::Done]);
-        let stats = m.run(vec![Box::new(p0), Box::new(p1)]).unwrap();
+        let mut reg = dynfb_core::MetricsRegistry::new();
+        let stats = m.run_metered(vec![Box::new(p0), Box::new(p1)], &mut reg).unwrap();
         let w = &stats.procs[1];
         assert_eq!(w.acquires, 1);
         assert!(w.failed_attempts > 0);
         assert!(w.wait_time >= ms(10), "waited {:?}", w.wait_time);
-        assert_eq!(m.lock_usage(l).acquires, 2);
-        assert_eq!(m.lock_usage(l).contended_acquires, 1);
+        assert_eq!(reg.lock(l.0).acquires, 2);
+        assert_eq!(reg.lock(l.0).contended_acquires, 1);
     }
 
     #[test]

@@ -386,16 +386,6 @@ impl AppReport {
         self.sections.iter().filter(move |s| s.name == name)
     }
 
-    /// Mean duration of the named section's executions.
-    #[must_use]
-    pub fn mean_section_duration(&self, name: &str) -> Option<Duration> {
-        let durs: Vec<Duration> = self.section(name).map(SectionExecution::duration).collect();
-        if durs.is_empty() {
-            return None;
-        }
-        Some(durs.iter().sum::<Duration>() / u32::try_from(durs.len()).unwrap_or(u32::MAX))
-    }
-
     /// Mean *effective sampling interval* per version of the named section:
     /// the mean actual length of completed sampling intervals (§4.1,
     /// Tables 5/11/12 of the paper). Indexed by version.
