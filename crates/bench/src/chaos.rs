@@ -50,7 +50,7 @@ pub const VERSIONS: [&str; 3] = ["original", "bounded", "aggressive"];
 pub struct ChaosConfig {
     /// Seed for the random scenario (and report banner).
     pub seed: u64,
-    /// Loop iterations per run (each performs [`UPDATES`] updates).
+    /// Loop iterations per run (each performs `UPDATES` updates).
     pub iters: usize,
     /// Simulated processors.
     pub procs: usize,

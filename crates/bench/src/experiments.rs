@@ -1042,7 +1042,7 @@ DASH-era numbers. Regenerate with\n\
 byte-identical for every N). Beyond-the-paper harnesses live in\n\
 their own binaries with the same determinism contract: `chaos`\n\
 (fault-scenario regret), `rehab` (quarantine rehabilitation),\n\
-`trace`/`profile` (observability oracles), and `repset`\n\
+`observe` (observability oracles), and `repset`\n\
 (parameterized policy family pruned to a representative subset by\n\
 seeded k-medoids; selection table + JSON in `target/repset/`).\n";
 

@@ -41,13 +41,12 @@ use crate::engine::{Engine, Filter, Job};
 use crate::report::{micros, Table};
 use dynfb_apps::{barnes_hut, BarnesHutConfig};
 use dynfb_compiler::CompiledApp;
-use dynfb_core::journal::{
-    decision_ndjson, DecisionKind, DecisionRecord, JournalBuffer, JournalSink, NullJournal,
-};
+use dynfb_core::journal::{decision_ndjson, DecisionKind, DecisionRecord, JournalBuffer};
 use dynfb_core::metrics::{
     lock_rows_json, profile_json, prometheus_text, LockMetrics, Log2Histogram, MetricsRegistry,
 };
-use dynfb_core::trace::{chrome_trace_json, NullSink, RingBuffer, TraceEvent, TracedEvent};
+use dynfb_core::observer::Observer;
+use dynfb_core::trace::{chrome_trace_json, RingBuffer, TraceEvent, TracedEvent};
 use dynfb_sim::{run_app_flight_recorded, ProcStats, RunConfig, SimApp};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -778,8 +777,8 @@ pub fn barnes_hut_profile(bodies: usize, procs: usize, policy: &str) -> Compiled
     let report = run_app_flight_recorded(
         &mut app,
         &RunConfig::fixed(procs, policy),
-        &mut NullSink,
-        &mut NullJournal,
+        &mut (),
+        &mut (),
         &mut registry,
     )
     .expect("barnes-hut profile run");

@@ -22,14 +22,14 @@
 //! deterministic simulation, reads the next sampling-interval start of the
 //! target policy from the [`SampleRecord`]s, and drops a frozen-clock
 //! window on it — so the plan stays surgical even if controller timing
-//! shifts. [`SampleRecord`]: dynfb_sim::SampleRecord
+//! shifts.
+//!
+//! [`SampleRecord`]: dynfb_sim::SampleRecord
 
 use crate::chaos::{self, ChaosApp, ChaosConfig, ModeOutcome, VERSIONS};
 use crate::report::Table;
 use dynfb_core::controller::{ControllerConfig, RehabPolicy};
-use dynfb_core::journal::NullJournal;
 use dynfb_core::metrics::MetricsRegistry;
-use dynfb_core::trace::NullSink;
 use dynfb_sim::{
     run_app, run_app_flight_recorded, AppReport, FaultKind, FaultPlan, RunConfig, SimTime, Window,
 };
@@ -102,14 +102,9 @@ pub fn dynamic_run_config(cfg: &ChaosConfig, rehab: RehabPolicy, plan: FaultPlan
 pub fn run_dynamic(cfg: &ChaosConfig, rehab: RehabPolicy, plan: FaultPlan) -> DynamicRun {
     let run = dynamic_run_config(cfg, rehab, plan);
     let mut registry = MetricsRegistry::new();
-    let report = run_app_flight_recorded(
-        ChaosApp::new(cfg.iters),
-        &run,
-        &mut NullSink,
-        &mut NullJournal,
-        &mut registry,
-    )
-    .expect("rehab dynamic run");
+    let report =
+        run_app_flight_recorded(ChaosApp::new(cfg.iters), &run, &mut (), &mut (), &mut registry)
+            .expect("rehab dynamic run");
     DynamicRun { report, registry }
 }
 

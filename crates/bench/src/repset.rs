@@ -28,12 +28,10 @@ use dynfb_apps::machine_config;
 use dynfb_apps::plasma::{plasma_with_policies, PlasmaConfig, LOCK_CLASSES};
 use dynfb_compiler::syncopt::Policy;
 use dynfb_core::controller::ControllerConfig;
-use dynfb_core::journal::NullJournal;
 use dynfb_core::metrics::MetricsRegistry;
 use dynfb_core::repset::{
     pruning_report, select_representatives, PolicyVector, RepSetConfig, Selection,
 };
-use dynfb_core::trace::NullSink;
 use dynfb_sim::{
     run_app_flight_recorded, run_app_ref, FaultKind, FaultPlan, RunConfig, SimApp, Target, Window,
 };
@@ -186,9 +184,8 @@ fn measure_cell(
     let mut run = RunConfig::fixed(cfg.procs, policy_key).with_faults(scenario.plan.clone());
     run.machine = machine_config();
     let mut registry = MetricsRegistry::new();
-    let report =
-        run_app_flight_recorded(&mut app, &run, &mut NullSink, &mut NullJournal, &mut registry)
-            .expect("repset measure run");
+    let report = run_app_flight_recorded(&mut app, &run, &mut (), &mut (), &mut registry)
+        .expect("repset measure run");
     let base = app.lock_pool_base().expect("setup assigns the lock pool");
     let elapsed = report.elapsed();
     let mut class_ns = [0u128; LOCK_CLASSES];

@@ -13,9 +13,10 @@ use dynfb_bench::engine::Engine;
 use dynfb_bench::observe::{
     check_scenario, observe_report_with, run_observed, ObservedCell, ScenarioCheck,
 };
-use dynfb_core::journal::{decision_ndjson, DecisionKind, JournalBuffer, NullJournal};
-use dynfb_core::metrics::{MetricsRegistry, MetricsSink, NoMetrics};
-use dynfb_core::trace::{NullSink, RingBuffer, SwitchReason, TraceEvent};
+use dynfb_core::journal::{decision_ndjson, DecisionKind, JournalBuffer};
+use dynfb_core::metrics::MetricsRegistry;
+use dynfb_core::observer::Observer;
+use dynfb_core::trace::{RingBuffer, SwitchReason, TraceEvent};
 use dynfb_sim::run_app_flight_recorded;
 use std::time::Duration;
 
@@ -83,14 +84,13 @@ fn all_channels_together_record_what_each_records_alone() {
             assert!(matches!(mode, ChaosMode::Static(_)) || !full.events.is_empty(), "{at}");
 
             let mut ring = RingBuffer::new(1 << 16);
-            let r =
-                run_app_flight_recorded(app(), &run, &mut ring, &mut NullJournal, &mut NoMetrics);
+            let r = run_app_flight_recorded(app(), &run, &mut ring, &mut (), &mut ());
             assert_eq!(result(r.expect("ring-only run")), full.result, "{at}");
             assert_eq!(ring.into_events(), full.events, "{at}: ring only");
 
             let mut ring = RingBuffer::new(1 << 16);
             let mut journal = JournalBuffer::new(1 << 16);
-            let r = run_app_flight_recorded(app(), &run, &mut ring, &mut journal, &mut NoMetrics);
+            let r = run_app_flight_recorded(app(), &run, &mut ring, &mut journal, &mut ());
             assert_eq!(result(r.expect("ring+journal run")), full.result, "{at}");
             assert_eq!(ring.into_events(), full.events, "{at}: ring+journal");
             assert_eq!(
@@ -100,13 +100,7 @@ fn all_channels_together_record_what_each_records_alone() {
             );
 
             let mut registry = MetricsRegistry::new();
-            let r = run_app_flight_recorded(
-                app(),
-                &run,
-                &mut NullSink,
-                &mut NullJournal,
-                &mut registry,
-            );
+            let r = run_app_flight_recorded(app(), &run, &mut (), &mut (), &mut registry);
             assert_eq!(result(r.expect("registry-only run")), full.result, "{at}");
             assert_eq!(registry, full.registry, "{at}: registry only");
         }
@@ -125,32 +119,22 @@ fn saturated_trace_ring_does_not_lose_lock_metrics() {
 
     let mut ring = RingBuffer::new(1);
     let mut observed = MetricsRegistry::new();
-    let observed_report = run_app_flight_recorded(
-        ChaosApp::new(cfg.iters),
-        &run,
-        &mut ring,
-        &mut NullJournal,
-        &mut observed,
-    )
-    .expect("observed run");
+    let observed_report =
+        run_app_flight_recorded(ChaosApp::new(cfg.iters), &run, &mut ring, &mut (), &mut observed)
+            .expect("observed run");
     assert!(ring.dropped() > 0, "a one-slot ring must saturate");
 
     let mut metered = MetricsRegistry::new();
-    let metered_report = run_app_flight_recorded(
-        ChaosApp::new(cfg.iters),
-        &run,
-        &mut NullSink,
-        &mut NullJournal,
-        &mut metered,
-    )
-    .expect("metered run");
+    let metered_report =
+        run_app_flight_recorded(ChaosApp::new(cfg.iters), &run, &mut (), &mut (), &mut metered)
+            .expect("metered run");
 
     // The drops themselves are accounted: the observed run publishes the
     // exact drop total as a loss counter, which is the one difference a
     // saturated ring is allowed to make.
     assert_eq!(observed.counter_value("trace_dropped"), ring.dropped());
     assert_eq!(metered.counter_value("trace_dropped"), 0);
-    MetricsSink::counter(&mut metered, "trace_dropped", ring.dropped());
+    Observer::counter(&mut metered, "trace_dropped", ring.dropped());
     assert_eq!(observed, metered, "the saturated ring changed the profile");
     assert_eq!(observed_report.stats, metered_report.stats);
     let totals = observed_report.stats.totals();
@@ -211,7 +195,7 @@ fn each_oracle_flags_a_doctored_cell() {
 
     // Profile: one acquire the machine never made.
     let mut doctored = observed.clone();
-    MetricsSink::lock_acquired(&mut doctored[0].registry, 0, Duration::ZERO, Duration::ZERO, 0);
+    Observer::lock_acquired(&mut doctored[0].registry, 0, Duration::ZERO, Duration::ZERO, 0);
     let (v, check) = verdicts(&cfg, plain.clone(), &doctored);
     assert_eq!(v, [true, false, true], "{}", check.profile);
     assert!(check.profile.contains("attribution lost lock events"), "{}", check.profile);

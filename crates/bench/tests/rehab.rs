@@ -14,8 +14,7 @@
 use dynfb_bench::chaos::{ChaosApp, ChaosConfig};
 use dynfb_bench::rehab::{dynamic_run_config, run_dynamic, storm_plan};
 use dynfb_core::controller::RehabPolicy;
-use dynfb_core::journal::NullJournal;
-use dynfb_core::metrics::NoMetrics;
+use dynfb_core::observer::Observer;
 use dynfb_core::trace::{RingBuffer, TraceEvent};
 use dynfb_sim::run_app_flight_recorded;
 use std::collections::BTreeSet;
@@ -56,8 +55,8 @@ fn total_quarantine_degrades_to_the_safest_policy_and_completes() {
         ChaosApp::new(cfg.iters),
         &dynamic_run_config(&cfg, RehabPolicy::Permanent, plan),
         &mut ring,
-        &mut NullJournal,
-        &mut NoMetrics,
+        &mut (),
+        &mut (),
     )
     .expect("traced replay");
     assert_eq!(ring.dropped(), 0, "trace ring must not drop events");

@@ -63,6 +63,19 @@ impl Effects {
         self.allocates |= callee.allocates;
     }
 
+    /// Number of facts recorded: every set's length plus each flag set.
+    fn size(&self) -> usize {
+        self.this_reads.len()
+            + self.this_writes.len()
+            + self.other_reads.len()
+            + self.other_writes.len()
+            + self.global_reads.len()
+            + self.global_writes.len()
+            + usize::from(self.array_writes)
+            + usize::from(self.array_reads)
+            + usize::from(self.allocates)
+    }
+
     /// True if the function writes no state at all (a *pure* observer).
     #[must_use]
     pub fn is_pure(&self) -> bool {
@@ -86,33 +99,44 @@ pub struct EffectsMap {
 
 impl EffectsMap {
     /// Compute effects for the whole program.
+    ///
+    /// The transitive closure needs each call's receiver (`this` or another
+    /// object), which the call graph's edges do not carry, so it collects
+    /// every body's `(callee, receiver is this)` list itself, once, and
+    /// iterates over those lists to a fixpoint. `callgraph` is unused; the
+    /// parameter stays so existing callers keep compiling.
     #[must_use]
     pub fn build(hir: &Hir, callgraph: &CallGraph) -> Self {
-        let n = hir.functions.len();
+        let _ = callgraph;
         let direct: Vec<Effects> = hir.functions.iter().map(|f| scan_stmts(&f.body)).collect();
-        // Fixpoint closure (graphs are tiny; iterate until stable).
+        let calls: Vec<Vec<(FuncId, bool)>> = hir
+            .functions
+            .iter()
+            .map(|f| {
+                let mut out = Vec::new();
+                collect_calls_with_receiver(&f.body, &mut out);
+                out
+            })
+            .collect();
+        // Fixpoint closure (graphs are tiny; iterate until stable). Effects
+        // only grow, so a pass changed something iff some size grew.
         let mut transitive = direct.clone();
         loop {
             let mut changed = false;
-            for i in 0..n {
-                let mut acc = transitive[i].clone();
-                // Re-scan calls with receiver information.
-                let mut calls = Vec::new();
-                collect_calls_with_receiver(&hir.functions[i].body, &mut calls);
-                for (callee, recv_is_this) in calls {
-                    let snapshot = transitive[callee.0].clone();
-                    acc.absorb_call(&snapshot, recv_is_this);
+            for (i, calls) in calls.iter().enumerate() {
+                let mut gained = Effects::default();
+                for &(callee, recv_is_this) in calls {
+                    gained.absorb_call(&transitive[callee.0], recv_is_this);
                 }
-                if acc != transitive[i] {
-                    transitive[i] = acc;
-                    changed = true;
-                }
+                let before = transitive[i].size();
+                // Absorbing as if on `this` is a plain union.
+                transitive[i].absorb_call(&gained, true);
+                changed |= transitive[i].size() != before;
             }
             if !changed {
                 break;
             }
         }
-        let _ = callgraph;
         EffectsMap { direct, transitive }
     }
 
@@ -220,6 +244,31 @@ mod tests {
         let cross = hir.method_named(ClassId(0), "cross").unwrap();
         assert!(eff.of(cross).other_writes.contains(&(ClassId(0), 0)));
         assert!(eff.of(cross).this_writes.is_empty());
+    }
+
+    #[test]
+    fn transitive_effects_close_over_a_call_cycle() {
+        // `a` calls `b` on `this`; `b` calls `a` on another object. The
+        // closure needs more than one pass: `b` learns `a`'s writes as
+        // other-writes, and `a` then learns them back through `b`.
+        let hir = compile_source(
+            "class c { double x; double y;
+                 void a(c o) { this.x = 1.0; this.b(o); }
+                 void b(c o) { this.y = 2.0; o.a(o); }
+             }",
+        )
+        .unwrap();
+        let cg = CallGraph::build(&hir);
+        let eff = EffectsMap::build(&hir, &cg);
+        let a = hir.method_named(ClassId(0), "a").unwrap();
+        let b = hir.method_named(ClassId(0), "b").unwrap();
+        let (x, y) = ((ClassId(0), 0), (ClassId(0), 1));
+        assert_eq!(eff.direct[a.0].this_writes, BTreeSet::from([x]));
+        assert!(eff.direct[a.0].other_writes.is_empty());
+        assert_eq!(eff.of(a).this_writes, BTreeSet::from([x, y]));
+        assert_eq!(eff.of(a).other_writes, BTreeSet::from([x, y]));
+        assert_eq!(eff.of(b).this_writes, BTreeSet::from([y]));
+        assert_eq!(eff.of(b).other_writes, BTreeSet::from([x, y]));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! ## Leaf inlining
 //!
 //! Before blocks are formed, every call to a small, call-free program
-//! function (at most [`INLINE_MAX_INSNS`] instructions; call-free, so
+//! function (at most `INLINE_MAX_INSNS` instructions; call-free, so
 //! never recursive) is spliced into the caller: the callee's registers
 //! sit right above the caller's frame, the call becomes moves of the
 //! arguments and constants of the other locals' defaults, `LoadThis`
@@ -95,11 +95,11 @@
 //! ## The kernel calling convention
 //!
 //! A kernel returns a bare `u32` — the next block index, or one of three
-//! sentinels ([`RET`], [`CALLX`], [`ERR`]) — so the whole chain's result
+//! sentinels (`RET`, `CALLX`, `ERR`) — so the whole chain's result
 //! travels in a register instead of dragging a multi-word
 //! `Result<BlockExit, _>` through every nested return. Block *exits* with
 //! compile-time-constant payloads (which register to return, which
-//! function to call) live in a per-block [`ExitDesc`] side table the
+//! function to call) live in a per-block `ExitDesc` side table the
 //! executor consults only when a sentinel comes back; runtime errors park
 //! in the frame (`NativeFrame::err`). A call that is not inlined
 //! terminates its block so the executor can re-window the register stack

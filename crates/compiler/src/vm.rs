@@ -124,7 +124,7 @@ pub enum Insn {
     /// Jump unless the register holds `Bool(true)`.
     JumpIfFalse { cond: Reg, target: u32 },
     /// Call a program function; arguments sit in consecutive registers
-    /// starting at `base`. `recv` is [`NO_REG`] for free functions.
+    /// starting at `base`. `recv` is `NO_REG` for free functions.
     Call { dst: Reg, func: u32, base: Reg, recv: Reg },
     /// Call a host (`extern`) function through the dense link table.
     CallHost { dst: Reg, ext: u32, base: Reg, argc: u8 },

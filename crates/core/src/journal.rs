@@ -28,10 +28,9 @@
 //!   it; [`EvidenceTracker`] tracks per-policy measurement ages for the
 //!   drivers (the controller itself keeps no timestamps).
 //! * **Zero cost when disabled.** Drivers are generic over the
-//!   [`JournalSink`]; the default [`NullJournal`] has `ENABLED = false`, so
-//!   the journal half of [`record_decision`] monomorphizes away
-//!   exactly like the [`crate::trace::NullSink`] and
-//!   [`crate::metrics::NoMetrics`] paths the perf-smoke CI gate covers.
+//!   [`Observer`]; with the disabled `()` every emission of
+//!   [`record_decision`], evidence assembly included, monomorphizes away
+//!   (see [`crate::observer`]).
 //! * **Determinism.** The simulator stamps records with virtual time, so
 //!   its journal renders to byte-identical NDJSON for every worker count;
 //!   the realtime executor stamps wall-clock offsets, which comparisons
@@ -39,7 +38,8 @@
 
 use crate::controller::{Controller, Decision, PolicyId};
 use crate::detector::DetectorSnapshot;
-use crate::trace::{interval_end_event, phase_start_event, SwitchReason, TraceEvent, TraceSink};
+use crate::observer::Observer;
+use crate::trace::{interval_end_event, phase_start_event, SwitchReason, TraceEvent};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -144,48 +144,10 @@ pub struct DecisionRecord {
     pub evidence: Evidence,
 }
 
-/// Receives decision records from a driver.
-///
-/// Mirrors [`crate::trace::TraceSink`]: drivers are generic over the sink,
-/// and the [`NullJournal`]'s `ENABLED = false` lets emission sites skip
-/// even evidence construction.
-pub trait JournalSink {
-    /// Statically false for sinks that discard everything.
-    const ENABLED: bool = true;
-
-    /// Record one decision.
-    fn record(&mut self, record: DecisionRecord);
-
-    /// Records lost to capacity limits so far (0 for unbounded sinks).
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// The disabled journal: discards everything at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullJournal;
-
-impl JournalSink for NullJournal {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn record(&mut self, _record: DecisionRecord) {}
-}
-
-impl<J: JournalSink + ?Sized> JournalSink for &mut J {
-    const ENABLED: bool = J::ENABLED;
-
-    #[inline]
-    fn record(&mut self, record: DecisionRecord) {
-        (**self).record(record);
-    }
-
-    #[inline]
-    fn dropped(&self) -> u64 {
-        (**self).dropped()
-    }
-}
+/// The observer interface under its journal-era name, kept so code that
+/// imports `journal::JournalSink` (for instance to call
+/// [`dropped`](Observer::dropped) on a [`JournalBuffer`]) keeps compiling.
+pub use crate::observer::Observer as JournalSink;
 
 /// A bounded collector: keeps the most recent `capacity` records (sequence
 /// numbers assigned on arrival), counting anything older that had to be
@@ -199,16 +161,12 @@ pub struct JournalBuffer {
 }
 
 impl JournalBuffer {
-    /// A journal holding at most `capacity` records (minimum 1).
+    /// A journal holding at most `capacity` records (minimum 1). Storage
+    /// grows with use, as in [`crate::trace::RingBuffer::new`].
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        JournalBuffer {
-            capacity,
-            records: VecDeque::with_capacity(capacity.min(1024)),
-            next_seq: 0,
-            dropped: 0,
-        }
+        JournalBuffer { capacity, records: VecDeque::new(), next_seq: 0, dropped: 0 }
     }
 
     /// Number of buffered records.
@@ -254,8 +212,8 @@ impl JournalBuffer {
     }
 }
 
-impl JournalSink for JournalBuffer {
-    fn record(&mut self, mut record: DecisionRecord) {
+impl Observer for JournalBuffer {
+    fn decision(&mut self, mut record: DecisionRecord) {
         record.seq = self.next_seq;
         self.next_seq += 1;
         if self.records.len() >= self.capacity {
@@ -341,57 +299,54 @@ impl EvidenceTracker {
     }
 }
 
-/// Write one controller [`Decision`] to both observation channels: the one
-/// emission path behind every decision of both drivers.
+/// Write one controller [`Decision`] to the observer: the one emission
+/// path behind every decision of both drivers.
 ///
-/// The trace gets the decision's health transitions, the change-point
-/// alarm, the closed interval's end, the policy switch and the new
-/// interval's start, in that order. The journal gets the matching
-/// [`DecisionKind::Health`], [`DecisionKind::Alarm`] and
+/// The trace events are the decision's health transitions, the
+/// change-point alarm, the closed interval's end, the policy switch and
+/// the new interval's start, in that order. The decision records are the
+/// matching [`DecisionKind::Health`], [`DecisionKind::Alarm`] and
 /// [`DecisionKind::Switch`] records, all carrying one evidence snapshot
-/// taken from `controller` after the decision. Evidence is built only
-/// when the journal is enabled, a `tracker` is attached and the decision
-/// writes a record; a measured interval first refreshes its policy's
-/// measurement age either way.
-pub fn record_decision<S: TraceSink, J: JournalSink>(
-    sink: &mut S,
-    journal: &mut J,
+/// taken from `controller` after the decision. Nothing is built for a
+/// disabled observer; evidence is built only when a `tracker` is attached
+/// and the decision writes a record, and a measured interval first
+/// refreshes its policy's measurement age either way.
+pub fn record_decision<O: Observer>(
+    obs: &mut O,
     tracker: Option<&mut EvidenceTracker>,
     controller: &Controller,
     at: Duration,
     decision: &Decision,
 ) {
-    if S::ENABLED {
-        for ev in &decision.health {
-            sink.record(at, TraceEvent::PolicyHealth { policy: ev.policy(), state: ev.state() });
-        }
-        if let Some(snap) = decision.chart {
-            sink.record(
-                at,
-                TraceEvent::ChangePointAlarm {
-                    policy: decision.from,
-                    score: snap.score,
-                    threshold: snap.threshold,
-                    observations: snap.observations,
-                },
-            );
-        }
-        if let Some(c) = decision.closed {
-            if let Some(ev) = interval_end_event(decision.before, c.overhead, c.actual, c.partial) {
-                sink.record(at, ev);
-            }
-        }
-        if let Some((from, to, reason)) = decision.switch() {
-            sink.record(at, TraceEvent::PolicySwitch { from, to, reason });
-        }
-        if decision.opened() {
-            if let Some(ev) = phase_start_event(decision.after) {
-                sink.record(at, ev);
-            }
+    if !O::ENABLED {
+        return;
+    }
+    for ev in &decision.health {
+        obs.event(at, TraceEvent::PolicyHealth { policy: ev.policy(), state: ev.state() });
+    }
+    if let Some(snap) = decision.chart {
+        obs.event(
+            at,
+            TraceEvent::ChangePointAlarm {
+                policy: decision.from,
+                score: snap.score,
+                threshold: snap.threshold,
+                observations: snap.observations,
+            },
+        );
+    }
+    if let Some(c) = decision.closed {
+        if let Some(ev) = interval_end_event(decision.before, c.overhead, c.actual, c.partial) {
+            obs.event(at, ev);
         }
     }
-    if !J::ENABLED {
-        return;
+    if let Some((from, to, reason)) = decision.switch() {
+        obs.event(at, TraceEvent::PolicySwitch { from, to, reason });
+    }
+    if decision.opened() {
+        if let Some(ev) = phase_start_event(decision.after) {
+            obs.event(at, ev);
+        }
     }
     let Some(tracker) = tracker else {
         return;
@@ -420,10 +375,10 @@ pub fn record_decision<S: TraceSink, J: JournalSink>(
     while let Some(kind) = kinds.next() {
         if kinds.peek().is_none() {
             // The last record takes the snapshot; the others copy it.
-            journal.record(DecisionRecord { seq: 0, at, kind, evidence });
+            obs.decision(DecisionRecord { seq: 0, at, kind, evidence });
             break;
         }
-        journal.record(DecisionRecord { seq: 0, at, kind, evidence: evidence.clone() });
+        obs.decision(DecisionRecord { seq: 0, at, kind, evidence: evidence.clone() });
     }
 }
 
@@ -562,17 +517,10 @@ mod tests {
     }
 
     #[test]
-    fn null_journal_is_statically_disabled() {
-        const { assert!(!NullJournal::ENABLED) };
-        const { assert!(JournalBuffer::ENABLED) };
-        const { assert!(!<&mut NullJournal as JournalSink>::ENABLED) };
-    }
-
-    #[test]
     fn saturated_one_slot_buffer_reports_exact_drop_totals() {
         let mut buf = JournalBuffer::new(1);
         for i in 0..7u64 {
-            buf.record(DecisionRecord {
+            buf.decision(DecisionRecord {
                 seq: 0,
                 at: Duration::from_nanos(i),
                 kind: DecisionKind::Alarm { policy: 0 },
@@ -636,7 +584,7 @@ mod tests {
     fn journal_tail_returns_newest_oldest_first() {
         let mut buf = JournalBuffer::new(8);
         for i in 0..5u64 {
-            buf.record(DecisionRecord {
+            buf.decision(DecisionRecord {
                 seq: 0,
                 at: Duration::from_nanos(i),
                 kind: DecisionKind::Alarm { policy: 0 },

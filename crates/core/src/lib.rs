@@ -36,29 +36,31 @@
 //!   workloads expressed as Rust closures, with instrumented locks that
 //!   count successful and failed acquires the way the paper's generated
 //!   code does.
-//! * [`trace`] — structured tracing of the adaptation timeline: a
-//!   [`trace::TraceSink`] event API emitted by both drivers, a zero-cost
-//!   [`trace::NullSink`], a bounded [`trace::RingBuffer`] collector, and a
-//!   Chrome trace-event / Perfetto JSON exporter.
+//! * [`observer`] — the one [`observer::Observer`] interface both drivers
+//!   report to: trace events, controller decisions, lock events and
+//!   counters, with `()` as the zero-cost disabled observer and pairs
+//!   `(A, B)` to attach several channels at once.
+//! * [`trace`] — structured tracing of the adaptation timeline: the
+//!   [`trace::TraceEvent`] vocabulary, a bounded [`trace::RingBuffer`]
+//!   collector, and a Chrome trace-event / Perfetto JSON exporter.
 //! * [`repset`] — offline representative-set selection for parameterized
 //!   policy families: deterministic seeded k-medoids over per-policy
 //!   measured-overhead vectors, plus a pruning report through the §5
 //!   sampling-cost model (sampling cost is linear in the version count,
 //!   so pruning 12 → 4 versions cuts sampling overhead 3x).
-//! * [`metrics`] — per-lock profiling: a [`metrics::MetricsSink`] API
-//!   emitted by both drivers (zero-cost [`metrics::NoMetrics`] when
-//!   disabled), an accumulating [`metrics::MetricsRegistry`] with log2
-//!   histograms (and p50/p95/p99 quantile estimates derived from them),
-//!   an atomic [`metrics::LockTable`] for realtime workers, and
-//!   deterministic Prometheus-text / JSON exporters.
+//! * [`metrics`] — per-lock profiling: an accumulating
+//!   [`metrics::MetricsRegistry`] observer with log2 histograms (and
+//!   p50/p95/p99 quantile estimates derived from them), an atomic
+//!   [`metrics::LockTable`] for realtime workers, and deterministic
+//!   Prometheus-text / JSON exporters.
 //! * [`journal`] — the decision flight recorder: every controller decision
 //!   (sampling winner, early cut-off, watchdog abort, change-point alarm,
 //!   quarantine transition, crash fallback) captured as a
 //!   [`journal::DecisionRecord`] with its full evidence snapshot — the
 //!   measured overhead vector with [`theory`]-derived confidences, the
-//!   detector chart state, and per-policy health — behind a zero-cost
-//!   [`journal::JournalSink`]. [`journal::record_decision`] writes each
-//!   decision to the trace and the journal.
+//!   detector chart state, and per-policy health — kept by a
+//!   [`journal::JournalBuffer`]. [`journal::record_decision`] writes each
+//!   decision to the observer as trace events and decision records.
 //!
 //! ## Quick start
 //!
@@ -94,6 +96,7 @@ pub mod controller;
 pub mod detector;
 pub mod journal;
 pub mod metrics;
+pub mod observer;
 pub mod overhead;
 pub mod realtime;
 pub mod repset;
@@ -104,9 +107,9 @@ pub mod trace;
 pub use controller::{Controller, ControllerConfig, Phase, PolicyId, ResampleTrigger, Transition};
 pub use detector::{Detector, DetectorConfig, DetectorSnapshot};
 pub use journal::{
-    DecisionKind, DecisionRecord, Evidence, EvidenceTracker, JournalBuffer, JournalSink,
-    NullJournal, PolicyEvidence,
+    DecisionKind, DecisionRecord, Evidence, EvidenceTracker, JournalBuffer, PolicyEvidence,
 };
-pub use metrics::{LockMetrics, LockTable, Log2Histogram, MetricsRegistry, MetricsSink, NoMetrics};
+pub use metrics::{LockMetrics, LockTable, Log2Histogram, MetricsRegistry};
+pub use observer::Observer;
 pub use overhead::OverheadSample;
-pub use trace::{NullSink, RingBuffer, TraceEvent, TraceSink, TracedEvent};
+pub use trace::{RingBuffer, TraceEvent, TracedEvent};

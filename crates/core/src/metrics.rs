@@ -5,17 +5,14 @@
 //! those components to *individual locks*, so a profile can answer which
 //! critical region makes a policy win or lose:
 //!
-//! * **Zero cost when disabled**: drivers are generic over a
-//!   [`MetricsSink`]; the default [`NoMetrics`] has `const ENABLED = false`,
-//!   so every emission site (guarded by `if M::ENABLED`) monomorphizes away
-//!   — the unprofiled hot path is the same machine code as before this
-//!   module existed (the perf-smoke CI gate runs through it). This is the
-//!   same trick as [`TraceSink`](crate::trace::TraceSink).
+//! * **Zero cost when disabled**: the simulator's engine is generic over
+//!   the [`Observer`] it reports lock events to; with the disabled `()`
+//!   every emission site monomorphizes away (see [`crate::observer`]).
 //! * **Direct accumulation**: metrics never route through the droppable
 //!   trace [`RingBuffer`](crate::trace::RingBuffer) — a saturated ring
 //!   cannot lose lock counts, so per-lock sums stay *exactly* equal to the
 //!   machine-wide aggregates (the consistency oracle in `dynfb-bench
-//!   profile` enforces this).
+//!   observe` enforces this).
 //! * **Histograms** are fixed-bucket log2 ([`Log2Histogram`]): bucket 0
 //!   holds zero-duration observations, bucket `i >= 1` holds durations in
 //!   `[2^(i-1), 2^i)` nanoseconds, and the top bucket absorbs everything
@@ -25,6 +22,7 @@
 //!   exposition format; [`profile_json`] renders a stable JSON document.
 //!   Both are deterministic: identical registries produce identical bytes.
 
+use crate::observer::Observer;
 use crate::trace::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -33,73 +31,6 @@ use std::time::Duration;
 
 /// Number of buckets in a [`Log2Histogram`].
 pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Receives per-lock profiling events from a driver.
-///
-/// Drivers are generic over the sink, so [`NoMetrics`] compiles every call
-/// away (`ENABLED` is a `const`, letting emission sites skip even the
-/// arithmetic that produces the event's arguments).
-pub trait MetricsSink {
-    /// Statically false for sinks that discard everything; emission sites
-    /// guard recording (and its argument computation) behind this.
-    const ENABLED: bool = true;
-
-    /// A lock was acquired. `cost` is the modeled/charged acquire cost,
-    /// `waited` the time spent waiting for the holder (zero when
-    /// uncontended), and `failed_attempts` the number of unsuccessful spin
-    /// attempts made while waiting.
-    fn lock_acquired(
-        &mut self,
-        lock: usize,
-        cost: Duration,
-        waited: Duration,
-        failed_attempts: u64,
-    );
-
-    /// A lock was released. `cost` is the modeled/charged release cost and
-    /// `held` the time the lock was held (acquire completion to release
-    /// start).
-    fn lock_released(&mut self, lock: usize, cost: Duration, held: Duration);
-
-    /// Bump a named free-form counter by `delta`.
-    fn counter(&mut self, name: &'static str, delta: u64);
-}
-
-/// The disabled sink: discards everything at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoMetrics;
-
-impl MetricsSink for NoMetrics {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn lock_acquired(&mut self, _: usize, _: Duration, _: Duration, _: u64) {}
-
-    #[inline(always)]
-    fn lock_released(&mut self, _: usize, _: Duration, _: Duration) {}
-
-    #[inline(always)]
-    fn counter(&mut self, _: &'static str, _: u64) {}
-}
-
-impl<M: MetricsSink + ?Sized> MetricsSink for &mut M {
-    const ENABLED: bool = M::ENABLED;
-
-    #[inline]
-    fn lock_acquired(&mut self, lock: usize, cost: Duration, waited: Duration, failed: u64) {
-        (**self).lock_acquired(lock, cost, waited, failed);
-    }
-
-    #[inline]
-    fn lock_released(&mut self, lock: usize, cost: Duration, held: Duration) {
-        (**self).lock_released(lock, cost, held);
-    }
-
-    #[inline]
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        (**self).counter(name, delta);
-    }
-}
 
 /// A fixed-shape log2 histogram of durations in nanoseconds.
 ///
@@ -264,7 +195,7 @@ impl LockMetrics {
     }
 }
 
-/// The enabled sink: accumulates per-lock metrics and named counters.
+/// The metrics observer: accumulates per-lock metrics and named counters.
 ///
 /// Lock slots are grown on demand (indexed by lock id), so a registry can
 /// profile a machine with a large lock pool while only paying for the
@@ -326,7 +257,7 @@ impl MetricsRegistry {
     }
 }
 
-impl MetricsSink for MetricsRegistry {
+impl Observer for MetricsRegistry {
     fn lock_acquired(&mut self, lock: usize, cost: Duration, waited: Duration, failed: u64) {
         let m = self.slot(lock);
         m.acquires = m.acquires.saturating_add(1);
@@ -716,14 +647,6 @@ pub fn profile_json(registry: &MetricsRegistry, label: impl Fn(usize) -> String)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_metrics_is_statically_disabled() {
-        const { assert!(!NoMetrics::ENABLED) };
-        const { assert!(MetricsRegistry::ENABLED) };
-        // And through the forwarding impl.
-        const { assert!(!<&mut NoMetrics as MetricsSink>::ENABLED) };
-    }
 
     #[test]
     fn log2_histogram_buckets_by_power_of_two() {

@@ -19,8 +19,8 @@
 //! panics is caught ([`std::panic::catch_unwind`]), the version is
 //! [quarantined](crate::controller::Controller::quarantine), the interrupted
 //! item is retried under a surviving version, and sampling restarts among
-//! the survivors. Only when *every* version has panicked does [`run`]
-//! (AdaptiveExecutor::run) give up, returning
+//! the survivors. Only when *every* version has panicked does
+//! [`run`](AdaptiveExecutor::run) give up, returning
 //! [`ExecError::AllVersionsFailed`] instead of propagating the panic.
 //!
 //! ```
@@ -57,10 +57,11 @@
 use crate::controller::{
     CloseFlags, ConfigError, Controller, ControllerConfig, Decision, HealthEvent, Phase, PolicyId,
 };
-use crate::journal::{record_decision, EvidenceTracker, JournalSink, NullJournal};
+use crate::journal::{record_decision, EvidenceTracker};
 use crate::metrics::{LockMetrics, LockTable};
+use crate::observer::Observer;
 use crate::overhead::{OverheadCounters, OverheadSample};
-use crate::trace::{NullSink, TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -596,7 +597,7 @@ impl SwitchGate {
 }
 
 /// Shared executor state.
-struct Shared<S: TraceSink, J: JournalSink> {
+struct Shared<O: Observer> {
     next_item: AtomicUsize,
     num_items: usize,
     policy: AtomicUsize,
@@ -606,11 +607,11 @@ struct Shared<S: TraceSink, J: JournalSink> {
     panics: AtomicU64,
     gate: SwitchGate,
     instruments: Instruments,
-    control: Mutex<ControlState<S, J>>,
+    control: Mutex<ControlState<O>>,
     costs: InstrumentCosts,
 }
 
-struct ControlState<S: TraceSink, J: JournalSink> {
+struct ControlState<O: Observer> {
     controller: Controller,
     interval_start: Instant,
     run_start: Instant,
@@ -628,12 +629,10 @@ struct ControlState<S: TraceSink, J: JournalSink> {
     trace: Vec<PhaseRecord>,
     quarantine_log: Vec<PolicyId>,
     rehab_log: Vec<PolicyId>,
-    /// Trace collector, guarded by the control lock so events are recorded
-    /// in a single total order with monotone wall-clock offsets.
-    sink: S,
-    /// Decision flight recorder, guarded by the same lock for the same
-    /// total-order guarantee. [`NullJournal`] monomorphizes it away.
-    journal: J,
+    /// The caller's trace and journal, guarded by the control lock so
+    /// events and records arrive in a single total order with monotone
+    /// wall-clock offsets.
+    obs: O,
     /// Per-policy measurement ages backing each record's evidence snapshot.
     evidence: EvidenceTracker,
 }
@@ -694,7 +693,7 @@ impl AdaptiveExecutor {
         workload: &W,
         num_items: usize,
     ) -> Result<ExecutionReport, ExecError> {
-        self.run_flight_recorded(workload, num_items, &mut NullSink, &mut NullJournal, None)
+        self.run_flight_recorded(workload, num_items, &mut (), &mut (), None)
     }
 
     /// [`run`](AdaptiveExecutor::run) with the observation channels
@@ -702,9 +701,8 @@ impl AdaptiveExecutor {
     /// decision, with its evidence snapshot, into `journal`, both stamped
     /// with wall-clock offsets from the start of the run; and, with a
     /// `table`, its per-lock profile in the report's
-    /// [`lock_profile`](ExecutionReport::lock_profile). Pass [`NullSink`]
-    /// or [`NullJournal`] for a channel you do not attach; they
-    /// monomorphize it away.
+    /// [`lock_profile`](ExecutionReport::lock_profile). Pass `&mut ()` for
+    /// a channel you do not attach; it monomorphizes away.
     ///
     /// The workload must route its lock operations through
     /// [`ProfiledMutex::lock_profiled`] with the *same* table for the
@@ -726,8 +724,8 @@ impl AdaptiveExecutor {
     ) -> Result<ExecutionReport, ExecError>
     where
         W: AdaptiveWorkload,
-        S: TraceSink + Send,
-        J: JournalSink + Send,
+        S: Observer + Send,
+        J: Observer + Send,
     {
         if workload.num_versions() != self.config.controller.num_policies {
             return Err(ExecError::VersionMismatch {
@@ -738,17 +736,16 @@ impl AdaptiveExecutor {
         let mut controller =
             Controller::try_new(self.config.controller.clone()).map_err(ExecError::Controller)?;
         let mut evidence = EvidenceTracker::new(self.config.controller.num_policies);
-        if S::ENABLED {
-            sink.record(
-                Duration::ZERO,
-                TraceEvent::RunStart {
-                    policies: self.config.controller.num_policies,
-                    workers: self.config.workers,
-                },
-            );
-        }
+        let mut obs = (sink, journal);
+        obs.event(
+            Duration::ZERO,
+            TraceEvent::RunStart {
+                policies: self.config.controller.num_policies,
+                workers: self.config.workers,
+            },
+        );
         let open = controller.open_section();
-        record_decision(sink, journal, Some(&mut evidence), &controller, Duration::ZERO, &open);
+        record_decision(&mut obs, Some(&mut evidence), &controller, Duration::ZERO, &open);
         let now = Instant::now();
         let shared = Shared {
             next_item: AtomicUsize::new(0),
@@ -772,8 +769,7 @@ impl AdaptiveExecutor {
                 trace: Vec::new(),
                 quarantine_log: Vec::new(),
                 rehab_log: Vec::new(),
-                sink,
-                journal,
+                obs,
                 evidence,
             }),
             costs: self.config.costs,
@@ -791,9 +787,7 @@ impl AdaptiveExecutor {
         }
         let mut control = lock(&shared.control);
         let elapsed = control.run_start.elapsed();
-        if S::ENABLED {
-            control.sink.record(elapsed, TraceEvent::RunEnd);
-        }
+        control.obs.event(elapsed, TraceEvent::RunEnd);
         Ok(ExecutionReport {
             elapsed,
             items_processed: completed,
@@ -808,11 +802,7 @@ impl AdaptiveExecutor {
         })
     }
 
-    fn worker_loop<W: AdaptiveWorkload, S: TraceSink, J: JournalSink>(
-        &self,
-        shared: &Shared<S, J>,
-        workload: &W,
-    ) {
+    fn worker_loop<W: AdaptiveWorkload, O: Observer>(&self, shared: &Shared<O>, workload: &W) {
         let mut since_poll = 0usize;
         loop {
             if shared.aborted.load(Ordering::Acquire) {
@@ -897,11 +887,7 @@ impl AdaptiveExecutor {
     /// A version closure panicked: quarantine it (a hard failure in the
     /// health machine), restart the measurement interval among the
     /// survivors, or abort the run when none remain.
-    fn quarantine_version<S: TraceSink, J: JournalSink>(
-        &self,
-        shared: &Shared<S, J>,
-        policy: PolicyId,
-    ) {
+    fn quarantine_version<O: Observer>(&self, shared: &Shared<O>, policy: PolicyId) {
         // Read before the control lock: the gate leader takes gate state
         // before control, so the reverse order could deadlock.
         let active = shared.gate.active();
@@ -935,7 +921,7 @@ impl AdaptiveExecutor {
         }
     }
 
-    fn rendezvous<S: TraceSink, J: JournalSink>(&self, shared: &Shared<S, J>) {
+    fn rendezvous<O: Observer>(&self, shared: &Shared<O>) {
         shared.gate.arrive_and_wait(|active| {
             let mut control = lock(&shared.control);
             let now = Instant::now();
@@ -951,9 +937,9 @@ impl AdaptiveExecutor {
                     .is_some_and(|k| actual > target.saturating_mul(k)),
                 ..CloseFlags::default()
             };
-            if S::ENABLED {
+            if O::ENABLED {
                 let at = now - control.run_start;
-                control.sink.record(at, TraceEvent::BarrierSync { arrived: active });
+                control.obs.event(at, TraceEvent::BarrierSync { arrived: active });
             }
             let decision = shared.close(&mut control, now, active, flags);
             if let Some(next) = decision.next {
@@ -964,7 +950,7 @@ impl AdaptiveExecutor {
     }
 }
 
-impl<S: TraceSink, J: JournalSink> Shared<S, J> {
+impl<O: Observer> Shared<O> {
     /// Close the current interval at `now`, under the control lock:
     /// measure it, take the controller's [`Decision`], record it in the
     /// report, the trace and the journal, and start the next interval's
@@ -972,7 +958,7 @@ impl<S: TraceSink, J: JournalSink> Shared<S, J> {
     /// executed the interval.
     fn close(
         &self,
-        control: &mut ControlState<S, J>,
+        control: &mut ControlState<O>,
         now: Instant,
         active: usize,
         flags: CloseFlags,
@@ -1007,8 +993,8 @@ impl<S: TraceSink, J: JournalSink> Shared<S, J> {
             control.signal_at = now;
             control.signal_snapshot = counters;
         }
-        let ControlState { sink, journal, evidence, controller, .. } = control;
-        record_decision(sink, journal, Some(evidence), controller, at, &decision);
+        let ControlState { obs, evidence, controller, .. } = control;
+        record_decision(obs, Some(evidence), controller, at, &decision);
         decision
     }
 }
@@ -1148,7 +1134,7 @@ mod tests {
         let table = LockTable::new(2);
         let w = TwoLocks { slots: [ProfiledMutex::new(0), ProfiledMutex::new(0)], table: &table };
         let report = exec(3)
-            .run_flight_recorded(&w, 4_000, &mut NullSink, &mut NullJournal, Some(&table))
+            .run_flight_recorded(&w, 4_000, &mut (), &mut (), Some(&table))
             .expect("no panics");
         assert_eq!(report.items_processed, 4_000);
         let profile = &report.lock_profile;
@@ -1433,7 +1419,7 @@ mod fault_tests {
         });
         let mut ring = crate::trace::RingBuffer::new(4096);
         let report = exec
-            .run_flight_recorded(&Sluggish, 2_000, &mut ring, &mut NullJournal, None)
+            .run_flight_recorded(&Sluggish, 2_000, &mut ring, &mut (), None)
             .expect("completes");
         assert_eq!(report.items_processed, 2_000);
         // Version 0 blows every 800µs deadline by sleeping 5ms per item, so

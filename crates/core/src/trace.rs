@@ -4,7 +4,7 @@
 //! switches policies and *what* each phase measured. This module makes that
 //! timeline a first-class artifact: the drivers (the discrete-event
 //! simulator runtime in `dynfb-sim` and the real-thread executor in
-//! [`crate::realtime`]) emit [`TraceEvent`]s into a [`TraceSink`] at every
+//! [`crate::realtime`]) emit [`TraceEvent`]s into an [`Observer`] at every
 //! controller decision, through [`crate::journal::record_decision`].
 //!
 //! * **Timestamps** are [`Duration`]s from the start of the run. The
@@ -12,10 +12,9 @@
 //!   byte-deterministic (identical for every worker count of the bench
 //!   engine); the realtime executor stamps wall-clock offsets, which are
 //!   inherently noisy.
-//! * **Zero cost when disabled**: the drivers are generic over the sink, so
-//!   the default [`NullSink`] monomorphizes every `record` call away — the
-//!   untraced hot path is the same machine code as before the trace layer
-//!   existed (the perf-smoke CI gate runs through it).
+//! * **Zero cost when disabled**: the drivers are generic over the
+//!   observer, so the disabled `()` monomorphizes every emission away (see
+//!   [`crate::observer`]).
 //! * **Collection** is a bounded [`RingBuffer`] (oldest events drop first,
 //!   with a drop counter so consumers can detect truncation).
 //! * **Export**: [`chrome_trace_json`] renders events in the Chrome
@@ -24,6 +23,7 @@
 //!   the same events always produce the same bytes.
 
 use crate::controller::Phase;
+use crate::observer::Observer;
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
@@ -211,52 +211,6 @@ pub struct TracedEvent {
     pub event: TraceEvent,
 }
 
-/// Receives trace events from a driver.
-///
-/// Drivers are generic over the sink, so a [`NullSink`] compiles every
-/// `record` call away (`ENABLED` is a `const`, letting emission sites skip
-/// even the construction of the event).
-pub trait TraceSink {
-    /// Statically false for sinks that discard everything; emission sites
-    /// guard event construction behind this.
-    const ENABLED: bool = true;
-
-    /// Record one event at offset `at` from the start of the run.
-    fn record(&mut self, at: Duration, event: TraceEvent);
-
-    /// Events lost to capacity limits so far (0 for unbounded sinks).
-    /// Drivers export this nonzero-only as the `trace_dropped` counter so
-    /// ring-buffer truncation is never silent.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// The disabled sink: discards everything at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn record(&mut self, _at: Duration, _event: TraceEvent) {}
-}
-
-impl<S: TraceSink + ?Sized> TraceSink for &mut S {
-    const ENABLED: bool = S::ENABLED;
-
-    #[inline]
-    fn record(&mut self, at: Duration, event: TraceEvent) {
-        (**self).record(at, event);
-    }
-
-    #[inline]
-    fn dropped(&self) -> u64 {
-        (**self).dropped()
-    }
-}
-
 /// A bounded collector: keeps the most recent `capacity` events, counting
 /// (not silently discarding) anything older that had to be dropped.
 #[derive(Debug, Clone, Default)]
@@ -267,11 +221,13 @@ pub struct RingBuffer {
 }
 
 impl RingBuffer {
-    /// A ring buffer holding at most `capacity` events (minimum 1).
+    /// A ring buffer holding at most `capacity` events (minimum 1). Storage
+    /// grows with use: recorders are built before their runs, and most
+    /// runs record a small fraction of the capacity.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        RingBuffer { capacity, events: VecDeque::with_capacity(capacity.min(1024)), dropped: 0 }
+        RingBuffer { capacity, events: VecDeque::new(), dropped: 0 }
     }
 
     /// Number of buffered events.
@@ -286,12 +242,6 @@ impl RingBuffer {
         self.events.is_empty()
     }
 
-    /// Number of events evicted because the buffer was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Iterate over the buffered events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TracedEvent> {
         self.events.iter()
@@ -304,8 +254,8 @@ impl RingBuffer {
     }
 }
 
-impl TraceSink for RingBuffer {
-    fn record(&mut self, at: Duration, event: TraceEvent) {
+impl Observer for RingBuffer {
+    fn event(&mut self, at: Duration, event: TraceEvent) {
         if self.events.len() >= self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -458,18 +408,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_is_statically_disabled() {
-        const { assert!(!NullSink::ENABLED) };
-        const { assert!(RingBuffer::ENABLED) };
-        // And through the forwarding impl.
-        const { assert!(!<&mut NullSink as TraceSink>::ENABLED) };
-    }
-
-    #[test]
     fn ring_buffer_drops_oldest_and_counts() {
         let mut ring = RingBuffer::new(2);
         for i in 0..5u64 {
-            ring.record(Duration::from_nanos(i), TraceEvent::RunEnd);
+            ring.event(Duration::from_nanos(i), TraceEvent::RunEnd);
         }
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.dropped(), 3);
@@ -485,25 +427,21 @@ mod tests {
         // what the drivers export (nonzero-only) as `trace_dropped`.
         let mut ring = RingBuffer::new(1);
         for i in 0..9u64 {
-            ring.record(Duration::from_nanos(i), TraceEvent::RunEnd);
+            ring.event(Duration::from_nanos(i), TraceEvent::RunEnd);
         }
         assert_eq!(ring.len(), 1);
-        assert_eq!(TraceSink::dropped(&ring), 8);
-        // The null sink (and the forwarding impl) report zero losses.
-        assert_eq!(TraceSink::dropped(&NullSink), 0);
-        let mut null = NullSink;
-        assert_eq!(TraceSink::dropped(&&mut null), 0);
+        assert_eq!(ring.dropped(), 8);
     }
 
     #[test]
     fn chrome_export_renders_health_and_switch_reasons() {
         let mut ring = RingBuffer::new(16);
         let at = Duration::from_micros(1);
-        ring.record(
+        ring.event(
             at,
             TraceEvent::PolicySwitch { from: 0, to: 1, reason: SwitchReason::CrashFallback },
         );
-        ring.record(at, TraceEvent::PolicyHealth { policy: 2, state: "healthy" });
+        ring.event(at, TraceEvent::PolicyHealth { policy: 2, state: "healthy" });
         let json = chrome_trace_json("x", ring.iter());
         assert!(json.contains("crash-fallback"), "{json}");
         assert!(json.contains("health p2=healthy"), "{json}");
@@ -512,7 +450,7 @@ mod tests {
     #[test]
     fn chrome_export_is_deterministic_and_escapes() {
         let mut ring = RingBuffer::new(16);
-        ring.record(
+        ring.event(
             Duration::from_micros(5),
             TraceEvent::SamplingEnd {
                 policy: 0,
@@ -521,7 +459,7 @@ mod tests {
                 partial: false,
             },
         );
-        ring.record(
+        ring.event(
             Duration::from_micros(5),
             TraceEvent::PolicySwitch { from: 0, to: 1, reason: SwitchReason::NextSample },
         );

@@ -27,7 +27,8 @@ struct Recorder {
 impl Recorder {
     fn record(&mut self, ctl: &Controller, tracker: &mut EvidenceTracker, d: &Decision) {
         self.now += INTERVAL;
-        record_decision(&mut self.ring, &mut self.journal, Some(tracker), ctl, self.now, d);
+        let mut obs = (&mut self.ring, &mut self.journal);
+        record_decision(&mut obs, Some(tracker), ctl, self.now, d);
     }
 }
 

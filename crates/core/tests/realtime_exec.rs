@@ -3,7 +3,7 @@
 //! under a 2-policy toy workload.
 
 use dynfb_core::controller::ControllerConfig;
-use dynfb_core::journal::NullJournal;
+use dynfb_core::observer::Observer;
 use dynfb_core::realtime::{
     AdaptiveExecutor, AdaptiveWorkload, ExecutionReport, ExecutorConfig, Instruments, ProfiledMutex,
 };
@@ -208,7 +208,7 @@ fn trace_events_are_ordered_and_consistent_with_the_report() {
     let w = Toy::new();
     let mut ring = RingBuffer::new(1 << 16);
     let report = exec(workers)
-        .run_flight_recorded(&w, 150_000, &mut ring, &mut NullJournal, None)
+        .run_flight_recorded(&w, 150_000, &mut ring, &mut (), None)
         .expect("no panics");
     assert_eq!(ring.dropped(), 0);
     let events: Vec<TracedEvent> = ring.into_events();
@@ -249,9 +249,7 @@ fn trace_events_are_ordered_and_consistent_with_the_report() {
 /// field — the wall-clock offset — from the NDJSON rendering.
 #[test]
 fn journal_mirrors_the_trace_and_wall_clock_strips_cleanly() {
-    use dynfb_core::journal::{
-        decision_ndjson, strip_wall_clock, DecisionKind, JournalBuffer, JournalSink,
-    };
+    use dynfb_core::journal::{decision_ndjson, strip_wall_clock, DecisionKind, JournalBuffer};
 
     let w = Toy::new();
     let mut ring = RingBuffer::new(1 << 16);
@@ -353,7 +351,7 @@ fn quarantine_ends_the_interrupted_interval_and_opens_the_next() {
             assert_ne!(version, 0, "version 0 is broken");
         }
     }
-    use dynfb_core::journal::{DecisionKind, JournalBuffer, JournalSink};
+    use dynfb_core::journal::{DecisionKind, JournalBuffer};
 
     // Keep the expected panics out of the test output.
     let prev = std::panic::take_hook();

@@ -12,7 +12,7 @@ use crate::process::{BarrierId, LockId, ProcCtx, ProcId, Process, Step};
 use crate::queue::EventQueue;
 use crate::stats::{MachineStats, ProcStats};
 use crate::time::SimTime;
-use dynfb_core::metrics::{MetricsSink, NoMetrics};
+use dynfb_core::observer::Observer;
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
@@ -159,7 +159,7 @@ fn after(t: SimTime, d: Duration) -> Result<SimTime, SimError> {
 /// both account identically — including the metrics emission the
 /// consistency oracles check.
 #[allow(clippy::too_many_arguments)]
-fn grant_next_waiter<M: MetricsSink>(
+fn grant_next_waiter<M: Observer>(
     l: &mut LockState,
     lock_idx: usize,
     free_at: SimTime,
@@ -233,7 +233,7 @@ struct LockState {
     holder: Option<ProcId>,
     waiters: VecDeque<(ProcId, SimTime)>,
     /// When the current holder completed its acquire — only maintained
-    /// while a [`MetricsSink`] is attached (hold-time attribution).
+    /// while an enabled [`Observer`] is attached (hold-time attribution).
     held_since: SimTime,
     /// Touched since the last reset. Lock pools are sized for the worst
     /// case (one lock per possible object), so per-run reset walks only
@@ -402,7 +402,7 @@ impl Machine {
         &mut self,
         processes: Vec<Box<dyn Process + 'a>>,
     ) -> Result<MachineStats, SimError> {
-        self.run_metered(processes, &mut NoMetrics)
+        self.run_metered(processes, &mut ())
     }
 
     /// Run one process per processor, attributing lock activity to `metrics`.
@@ -410,13 +410,13 @@ impl Machine {
     /// Every per-lock event is recorded at the same accounting site that
     /// updates [`ProcStats`], with the same virtual-time quantities — so the
     /// sum of per-lock metrics equals the machine aggregates *exactly* (the
-    /// consistency-oracle contract). With [`NoMetrics`] the emission sites
-    /// monomorphize away and this is [`run`](Machine::run).
+    /// consistency-oracle contract). With the disabled `()` the emission
+    /// sites monomorphize away and this is [`run`](Machine::run).
     ///
     /// # Errors
     ///
     /// Same as [`run`](Machine::run).
-    pub fn run_metered<'a, M: MetricsSink>(
+    pub fn run_metered<'a, M: Observer>(
         &mut self,
         mut processes: Vec<Box<dyn Process + 'a>>,
         metrics: &mut M,

@@ -33,9 +33,9 @@ use crate::process::{BarrierId, LockId, ProcCtx, Process, Step};
 use crate::stats::{MachineStats, ProcStats};
 use crate::time::SimTime;
 use dynfb_core::controller::{CloseFlags, Controller, ControllerConfig, HealthEvent, Phase};
-use dynfb_core::journal::{record_decision, EvidenceTracker, JournalSink, NullJournal};
-use dynfb_core::metrics::{MetricsSink, NoMetrics};
-use dynfb_core::trace::{interval_end_event, NullSink, SwitchReason, TraceEvent, TraceSink};
+use dynfb_core::journal::{record_decision, EvidenceTracker};
+use dynfb_core::observer::Observer;
+use dynfb_core::trace::{interval_end_event, SwitchReason, TraceEvent};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -408,19 +408,16 @@ impl AppReport {
 }
 
 /// Shared per-run state (single-threaded simulation: `Rc<RefCell>`).
-struct Driver<'a, S: TraceSink, J: JournalSink> {
+struct Driver<'a, O: Observer> {
     app: Box<dyn SimApp + 'a>,
     plan: Vec<PlanEntry>,
     mode: RunMode,
     num_procs: usize,
-    /// Trace collector. Events are stamped with *virtual* time, so for a
-    /// given app + config the event stream is byte-deterministic. The
-    /// default [`NullSink`] monomorphizes every emission away.
-    sink: S,
-    /// Decision flight recorder. Records are stamped with virtual time and
-    /// carry the full evidence snapshot behind each controller decision;
-    /// the default [`NullJournal`] monomorphizes every emission away.
-    journal: J,
+    /// The caller's trace and journal. Events and decision records are
+    /// stamped with *virtual* time, so for a given app + config both
+    /// streams are byte-deterministic; the disabled `()` monomorphizes
+    /// every emission away.
+    obs: O,
     active: Option<Active>,
     reports: Vec<SectionExecution>,
     /// Controllers persisted per section name across executions, so the
@@ -524,7 +521,7 @@ struct Active {
     evidence: Option<EvidenceTracker>,
 }
 
-impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
+impl<'a, O: Observer> Driver<'a, O> {
     /// Initialize section `plan_idx` if not already active. The
     /// machine-wide stats at this instant (the baseline for the first
     /// interval's overhead measurement) are read from `ctx` only when a
@@ -578,11 +575,8 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
                             None => {
                                 let mut cfg = cfg.clone();
                                 cfg.num_policies = versions.len();
-                                let tracker = if J::ENABLED {
-                                    Some(EvidenceTracker::new(versions.len()))
-                                } else {
-                                    None
-                                };
+                                let tracker =
+                                    O::ENABLED.then(|| EvidenceTracker::new(versions.len()));
                                 (Controller::new(cfg), None, tracker)
                             }
                         };
@@ -617,8 +611,7 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
                                 let open = ctl.open_section();
                                 self.counts.tally(&open.health);
                                 record_decision(
-                                    &mut self.sink,
-                                    &mut self.journal,
+                                    &mut self.obs,
                                     tracker.as_mut(),
                                     &ctl,
                                     now.as_duration(),
@@ -680,7 +673,7 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
         crashed: usize,
         watchdog_abort: bool,
     ) {
-        let Driver { active, sink, journal, counts, .. } = self;
+        let Driver { active, obs, counts, .. } = self;
         let Some(active) = active.as_mut() else {
             return;
         };
@@ -729,7 +722,7 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
         if decision.quiescent {
             counts.resample_quiescent += 1;
         }
-        record_decision(sink, journal, active.evidence.as_mut(), ctl, now.as_duration(), &decision);
+        record_decision(obs, active.evidence.as_mut(), ctl, now.as_duration(), &decision);
         active.interval_start = now;
         active.interval_start_observed = observed;
         active.snapshot = totals;
@@ -754,12 +747,12 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
             return;
         }
         if self.active.as_ref().is_some_and(|a| a.switch_requested) {
-            if S::ENABLED && self.active.as_ref().is_some_and(|a| a.controller.is_some()) {
+            if O::ENABLED && self.active.as_ref().is_some_and(|a| a.controller.is_some()) {
                 // Synchronous switching (§4.1): every *live* processor is at
                 // the section barrier when the leader applies the transition
                 // (crash-stopped ones dropped out of the rendezvous).
                 let arrived = self.num_procs - crashed;
-                self.sink.record(now.as_duration(), TraceEvent::BarrierSync { arrived });
+                self.obs.event(now.as_duration(), TraceEvent::BarrierSync { arrived });
             }
             let abort = self.active.as_ref().is_some_and(|a| a.abort_requested);
             self.close_interval(now, observed, totals, crashed, abort);
@@ -794,11 +787,11 @@ impl<'a, S: TraceSink, J: JournalSink> Driver<'a, S, J> {
                             partial: true,
                             poisoned: crashed > active.crashed_snapshot,
                         });
-                        if S::ENABLED {
+                        if O::ENABLED {
                             if let Some(ev) =
                                 interval_end_event(ctl.phase(), overhead, actual, true)
                             {
-                                self.sink.record(now.as_duration(), ev);
+                                self.obs.event(now.as_duration(), ev);
                             }
                         }
                     }
@@ -850,8 +843,8 @@ enum AfterDrain {
     NextIteration,
 }
 
-struct AppProcess<'a, S: TraceSink, J: JournalSink> {
-    driver: Rc<RefCell<Driver<'a, S, J>>>,
+struct AppProcess<'a, O: Observer> {
+    driver: Rc<RefCell<Driver<'a, O>>>,
     proc_index: usize,
     pos: usize,
     state: PState,
@@ -873,7 +866,7 @@ fn crashed_count(ctx: &ProcCtx<'_>) -> usize {
     ctx.all_stats().iter().filter(|p| p.crashed_at.is_some()).count()
 }
 
-impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
+impl<'a, O: Observer> AppProcess<'a, O> {
     /// Take the next loop iteration (or initiate the section-ending
     /// rendezvous), returning the next step.
     fn parallel_step(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
@@ -1032,7 +1025,7 @@ impl<'a, S: TraceSink, J: JournalSink> AppProcess<'a, S, J> {
     }
 }
 
-impl<'a, S: TraceSink, J: JournalSink> Process for AppProcess<'a, S, J> {
+impl<'a, O: Observer> Process for AppProcess<'a, O> {
     fn step(&mut self, ctx: &mut ProcCtx<'_>) -> Step {
         if let PState::Drain(_) = self.state {
             return self.drain(ctx);
@@ -1113,7 +1106,7 @@ impl<'a, S: TraceSink, J: JournalSink> Process for AppProcess<'a, S, J> {
 /// none implementing a statically requested policy), and any engine error
 /// (deadlock, lock misuse, event-limit overrun).
 pub fn run_app<'a, A: SimApp + 'a>(app: A, config: &RunConfig) -> Result<AppReport, SimError> {
-    run_app_flight_recorded(app, config, &mut NullSink, &mut NullJournal, &mut NoMetrics)
+    run_app_flight_recorded(app, config, &mut (), &mut (), &mut ())
 }
 
 /// Like [`run_app`], but borrows the application so the caller can inspect
@@ -1123,27 +1116,28 @@ pub fn run_app<'a, A: SimApp + 'a>(app: A, config: &RunConfig) -> Result<AppRepo
 ///
 /// Same as [`run_app`].
 pub fn run_app_ref<A: SimApp>(app: &mut A, config: &RunConfig) -> Result<AppReport, SimError> {
-    run_app_flight_recorded(app, config, &mut NullSink, &mut NullJournal, &mut NoMetrics)
+    run_app_flight_recorded(app, config, &mut (), &mut (), &mut ())
 }
 
 /// Like [`run_app`], with the observation channels attached: the
 /// adaptation timeline into `sink`, every controller decision with its
 /// evidence snapshot into `journal`, and every lock event into `metrics`.
-/// Pass [`NullSink`], [`NullJournal`] or [`NoMetrics`] for a channel you do
-/// not attach; each monomorphizes its channel away.
+/// Each is an [`Observer`]; pass `&mut ()` for a channel you do not
+/// attach, and it monomorphizes away. The driver reports to the pair
+/// `(sink, journal)` and the engine to `metrics`.
 ///
 /// Trace events and journal records are stamped with *virtual* simulation
 /// time, so for a given app + config both streams are byte-deterministic,
 /// regardless of host timing or how many runs execute concurrently.
-/// Metrics accumulate directly in their sink — never through the
+/// Metrics accumulate directly in their observer — never through the
 /// (droppable) trace ring buffer — at the same accounting sites that
-/// update [`ProcStats`](crate::ProcStats), so for any completed run the
-/// per-lock sums equal the machine aggregates exactly.
+/// update [`ProcStats`], so for any completed run the per-lock sums equal
+/// the machine aggregates exactly.
 ///
 /// # Errors
 ///
 /// Same as [`run_app`].
-pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink, M: MetricsSink>(
+pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: Observer, J: Observer, M: Observer>(
     app: A,
     config: &RunConfig,
     sink: &mut S,
@@ -1153,8 +1147,9 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink,
     if config.num_procs == 0 {
         return Err(SimError::NoProcessors);
     }
-    if S::ENABLED && !config.faults.is_empty() {
-        sink.record(
+    let mut obs = (&mut *sink, &mut *journal);
+    if !config.faults.is_empty() {
+        obs.event(
             Duration::ZERO,
             TraceEvent::FaultPlanActivated {
                 seed: config.faults.seed(),
@@ -1178,8 +1173,7 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink,
         plan,
         mode: config.mode.clone(),
         num_procs: config.num_procs,
-        sink,
-        journal,
+        obs,
         active: None,
         reports: Vec::new(),
         controllers: std::collections::HashMap::new(),
@@ -1204,22 +1198,21 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink,
         })
         .collect();
     let result = machine.run_metered(processes, metrics);
-    let driver = Rc::try_unwrap(driver)
+    let Driver { error, counts: hc, reports, .. } = Rc::try_unwrap(driver)
         .unwrap_or_else(|_| unreachable!("all processes dropped"))
         .into_inner();
     // A runtime error recorded by a winding-down processor is the root
     // cause; report it before any secondary engine error (the survivors
     // blocked at a barrier read as a deadlock otherwise).
-    if let Some(err) = driver.error {
+    if let Some(err) = error {
         return Err(err);
     }
     let stats = result?;
     // Publish the failure-domain counters. Only non-zero values are
     // emitted, so a healthy run's profile is byte-identical to one produced
     // before the failure layer existed.
-    let hc = driver.counts;
-    let trace_dropped = driver.sink.dropped();
-    let journal_dropped = driver.journal.dropped();
+    let trace_dropped = sink.dropped();
+    let journal_dropped = journal.dropped();
     for (name, value) in [
         ("policy_suspected", hc.suspected),
         ("policy_quarantined", hc.quarantined),
@@ -1239,7 +1232,7 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: TraceSink, J: JournalSink,
             metrics.counter(name, value);
         }
     }
-    Ok(AppReport { app: name, stats, sections: driver.reports })
+    Ok(AppReport { app: name, stats, sections: reports })
 }
 
 #[cfg(test)]
@@ -1729,9 +1722,8 @@ mod fault_tests {
         let cfg =
             RunConfig::dynamic(4, ctl()).with_faults(crash_proc3_at(Duration::from_micros(300)));
         let mut metrics = MetricsRegistry::new();
-        let report =
-            run_app_flight_recorded(Mini, &cfg, &mut NullSink, &mut NullJournal, &mut metrics)
-                .expect("completes despite crash");
+        let report = run_app_flight_recorded(Mini, &cfg, &mut (), &mut (), &mut metrics)
+            .expect("completes despite crash");
         let work = report.section("work").next().unwrap();
         // The survivors finish every iteration.
         assert_eq!(work.iterations, 600);
@@ -1751,8 +1743,7 @@ mod fault_tests {
         let cfg =
             RunConfig::dynamic(4, ctl()).with_faults(crash_proc3_at(Duration::from_micros(300)));
         let mut ring = RingBuffer::new(8192);
-        run_app_flight_recorded(Mini, &cfg, &mut ring, &mut NullJournal, &mut NoMetrics)
-            .expect("runs");
+        run_app_flight_recorded(Mini, &cfg, &mut ring, &mut (), &mut ()).expect("runs");
         assert!(
             ring.iter().any(|e| matches!(
                 e.event,
@@ -1781,8 +1772,7 @@ mod fault_tests {
         let cfg = RunConfig::dynamic(4, ctl()).with_faults(frozen_clock()).with_watchdog(3);
         let mut ring = RingBuffer::new(8192);
         let report =
-            run_app_flight_recorded(Mini, &cfg, &mut ring, &mut NullJournal, &mut NoMetrics)
-                .expect("runs");
+            run_app_flight_recorded(Mini, &cfg, &mut ring, &mut (), &mut ()).expect("runs");
         assert_eq!(report.section("work").next().unwrap().iterations, 600);
         let states: Vec<&str> = ring
             .iter()

@@ -3,8 +3,7 @@
 //! contract.
 
 use dynfb_core::controller::{ControllerConfig, PolicyOrdering};
-use dynfb_core::journal::NullJournal;
-use dynfb_core::metrics::NoMetrics;
+use dynfb_core::observer::Observer;
 use dynfb_core::overhead::OverheadCounters;
 use dynfb_core::realtime::InstrumentCosts;
 use dynfb_core::trace::{chrome_trace_json, RingBuffer, TraceEvent, TracedEvent};
@@ -64,9 +63,8 @@ fn frozen_clock() -> FaultPlan {
 
 fn traced(cfg: &RunConfig) -> (dynfb_sim::AppReport, Vec<TracedEvent>) {
     let mut ring = RingBuffer::new(1 << 16);
-    let report =
-        run_app_flight_recorded(Mini::default(), cfg, &mut ring, &mut NullJournal, &mut NoMetrics)
-            .expect("run succeeds");
+    let report = run_app_flight_recorded(Mini::default(), cfg, &mut ring, &mut (), &mut ())
+        .expect("run succeeds");
     assert_eq!(ring.dropped(), 0, "ring buffer truncated the trace");
     (report, ring.into_events())
 }
