@@ -462,9 +462,6 @@ pub struct Decision {
     /// Chart state at the change-point alarm that ended the closed
     /// production interval; `Some` exactly when one did.
     pub chart: Option<DetectorSnapshot>,
-    /// The closed production interval reached its quiescence bound with no
-    /// alarm (event-driven trigger only).
-    pub quiescent: bool,
 }
 
 impl Decision {
@@ -486,6 +483,47 @@ impl Decision {
     #[must_use]
     pub fn opened(&self) -> bool {
         self.closed.is_some() || matches!(self.before, Phase::Idle)
+    }
+}
+
+/// Running totals of what [`Controller::open_section`] and
+/// [`Controller::close_interval`] decided, read with
+/// [`Controller::counts`]. The simulator publishes the nonzero ones as
+/// metrics counters; the realtime executor reports the resample totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecisionCounts {
+    /// Policies a first soft failure made suspect.
+    pub suspected: u64,
+    /// Quarantines, hard or escalated.
+    pub quarantined: u64,
+    /// Rehabilitation probes scheduled.
+    pub probed: u64,
+    /// Clean probes that restored a policy to rotation.
+    pub rehabilitated: u64,
+    /// Suspect policies a usable sample cleared.
+    pub cleared: u64,
+    /// Switches on an unusable (crash-poisoned) completed interval.
+    pub crash_fallbacks: u64,
+    /// Sampling phases the stuck-sampling watchdog aborted.
+    pub watchdog_soft_failures: u64,
+    /// Production intervals ended early by a change-point alarm.
+    pub resample_alarms: u64,
+    /// Production intervals that reached the quiescence bound with no alarm
+    /// (event-driven trigger only).
+    pub resample_quiescent: u64,
+}
+
+impl DecisionCounts {
+    fn tally_health(&mut self, events: &[HealthEvent]) {
+        for ev in events {
+            match ev {
+                HealthEvent::Suspected(_) => self.suspected += 1,
+                HealthEvent::Quarantined { .. } => self.quarantined += 1,
+                HealthEvent::Probing(_) => self.probed += 1,
+                HealthEvent::Rehabilitated(_) => self.rehabilitated += 1,
+                HealthEvent::Cleared(_) => self.cleared += 1,
+            }
+        }
     }
 }
 
@@ -585,6 +623,11 @@ pub struct Controller {
     /// [`Controller::abort_to_production_carrying`]); deducted from
     /// [`Controller::target_interval`].
     production_debt: Duration,
+    /// Driver time of each policy's latest measurement (the `at` of the
+    /// [`close_interval`](Controller::close_interval) that fed it).
+    measured_at: Vec<Option<Duration>>,
+    /// What the decision steps decided so far.
+    counts: DecisionCounts,
 }
 
 /// Internal health state (the public projection is [`HealthTier`]).
@@ -663,6 +706,8 @@ impl Controller {
             signals_this_phase: 0,
             alarm_pending: false,
             production_debt: Duration::ZERO,
+            measured_at: vec![None; n],
+            counts: DecisionCounts::default(),
         })
     }
 
@@ -755,6 +800,23 @@ impl Controller {
     #[must_use]
     pub fn production_phases(&self) -> u64 {
         self.production_phases
+    }
+
+    /// Driver time at which each policy was last measured, indexed by
+    /// policy: the `at` of the latest
+    /// [`close_interval`](Controller::close_interval) whose closed interval
+    /// was `measured` (`None` if never).
+    #[must_use]
+    pub fn measured_at(&self) -> &[Option<Duration>] {
+        &self.measured_at
+    }
+
+    /// Running totals of the decisions taken through
+    /// [`open_section`](Controller::open_section) and
+    /// [`close_interval`](Controller::close_interval).
+    #[must_use]
+    pub fn counts(&self) -> DecisionCounts {
+        self.counts
     }
 
     /// Begin a new parallel section: start a sampling phase (the paper's
@@ -1203,14 +1265,14 @@ impl Controller {
     }
 
     /// Feed one production-signal observation — the waiting proportion of
-    /// the latest slice of production time, one slice per
-    /// [`ControllerConfig::target_sampling`] of production by convention —
-    /// into the change-point detector.
+    /// the latest slice of production time, fed whenever
+    /// [`signal_due`](Controller::signal_due) — into the change-point
+    /// detector.
     ///
     /// Returns `true` when the detector is in alarm *and* the alarm is
     /// actionable (at least `min_spacing` observations consumed this
     /// phase): the driver should end the production interval early through
-    /// its normal [`Controller::complete_interval`] path, labelling the
+    /// its normal [`Controller::close_interval`] path, which labels the
     /// switch [`crate::trace::SwitchReason::ChangePoint`]. The alarm stays
     /// latched (see [`Controller::alarm_pending`]) until the next phase
     /// starts, so a driver that defers the switch to a barrier does not
@@ -1239,9 +1301,9 @@ impl Controller {
     }
 
     /// Whether a change-point alarm is latched against the current
-    /// production interval. Cleared when the next phase starts; drivers
-    /// read it (before completing the interval) to label the transition
-    /// and count `resample_alarms`.
+    /// production interval. Cleared when the next phase starts;
+    /// [`close_interval`](Controller::close_interval) reads it to label the
+    /// switch and count it in [`DecisionCounts::resample_alarms`].
     #[must_use]
     pub fn alarm_pending(&self) -> bool {
         self.alarm_pending
@@ -1252,6 +1314,19 @@ impl Controller {
     #[must_use]
     pub fn event_driven(&self) -> bool {
         matches!(self.config.trigger, ResampleTrigger::EventDriven { .. })
+    }
+
+    /// Whether the driver owes the detector a production signal
+    /// ([`observe_production_signal`](Controller::observe_production_signal))
+    /// `since_signal` after the last one: under the event-driven trigger,
+    /// one signal per [`ControllerConfig::target_sampling`] of production
+    /// time.
+    #[inline]
+    #[must_use]
+    pub fn signal_due(&self, since_signal: Duration) -> bool {
+        self.phase.is_production()
+            && self.event_driven()
+            && since_signal >= self.config.target_sampling
     }
 
     /// Point-in-time view of the change-point detector (`None` under
@@ -1268,6 +1343,8 @@ impl Controller {
     pub fn open_section(&mut self) -> Decision {
         let before = self.phase;
         let first = self.begin_section();
+        let health = self.drain_health_events();
+        self.counts.tally_health(&health);
         Decision {
             before,
             after: self.phase,
@@ -1275,30 +1352,34 @@ impl Controller {
             next: Some(first),
             closed: None,
             reason: None,
-            health: self.drain_health_events(),
+            health,
             chart: None,
-            quiescent: false,
         }
     }
 
     /// Close the current interval at a switch point and decide what runs
     /// next: the one decision step both drivers take (§4.1).
     ///
-    /// `sample` and `actual` are the interval's measurement and length;
-    /// `flags` say how it ended. Depending on them the interval is
-    /// completed ([`complete_interval`](Controller::complete_interval),
-    /// then a soft failure on a missed sampling deadline), aborted into
-    /// production (the watchdog, a soft failure of the stuck policy), or
-    /// its policy is quarantined (a hard failure). The alarm, quiescence
-    /// and chart state are read before the transition resets them, and the
-    /// health events it caused are drained into the returned [`Decision`].
-    /// A watchdog abort outside a sampling phase decides nothing.
+    /// `at` is the driver's time of the decision; `sample` and `actual`
+    /// are the interval's measurement and length; `flags` say how it
+    /// ended. Depending on them the interval is completed
+    /// ([`complete_interval`](Controller::complete_interval), then a soft
+    /// failure on a missed sampling deadline), aborted into production (the
+    /// watchdog, a soft failure of the stuck policy), or its policy is
+    /// quarantined (a hard failure). The alarm, quiescence and chart state
+    /// are read before the transition resets them, and the health events it
+    /// caused are drained into the returned [`Decision`]. A measured
+    /// interval stamps its policy's [`measured_at`](Controller::measured_at)
+    /// with `at`, and the decision is added to
+    /// [`counts`](Controller::counts). A watchdog abort outside a sampling
+    /// phase decides nothing.
     ///
     /// # Panics
     ///
     /// Panics if no section is active.
     pub fn close_interval(
         &mut self,
+        at: Duration,
         sample: OverheadSample,
         actual: Duration,
         flags: CloseFlags,
@@ -1315,7 +1396,6 @@ impl Controller {
             reason: None,
             health: Vec::new(),
             chart: None,
-            quiescent: false,
         };
         if let Some(failed) = flags.hard_failure {
             decision.from = failed;
@@ -1341,10 +1421,13 @@ impl Controller {
                 Some(self.report_soft_failure(running).unwrap_or_else(|_| self.safest_policy()));
             decision.closed =
                 Some(ClosedInterval { overhead, actual, partial: true, measured: false });
+            self.counts.watchdog_soft_failures += 1;
         } else {
             let ending_production = before.is_production();
             let alarmed = ending_production && self.alarm_pending;
-            decision.quiescent = ending_production && self.event_driven() && !alarmed;
+            if ending_production && self.event_driven() && !alarmed {
+                self.counts.resample_quiescent += 1;
+            }
             decision.chart = if alarmed { self.detector_snapshot() } else { None };
             let fed = if flags.unusable { OverheadSample::default() } else { sample };
             let mut next = self.complete_interval(fed).policy();
@@ -1358,6 +1441,9 @@ impl Controller {
                 partial: false,
                 measured: !flags.unusable,
             });
+            if !flags.unusable {
+                self.measured_at[running] = Some(at);
+            }
         }
         decision.after = self.phase;
         decision.health = self.drain_health_events();
@@ -1368,6 +1454,11 @@ impl Controller {
                 .any(|e| matches!(e, HealthEvent::Rehabilitated(p) if Some(*p) == decision.next));
             decision.reason =
                 switch_reason(before, decision.after, flags, decision.alarmed(), rehabilitated);
+        }
+        self.counts.tally_health(&decision.health);
+        self.counts.resample_alarms += u64::from(decision.alarmed());
+        if decision.reason == Some(SwitchReason::CrashFallback) {
+            self.counts.crash_fallbacks += 1;
         }
         decision
     }
@@ -1901,6 +1992,26 @@ mod tests {
         // Still sampling: signals are a no-op.
         assert!(!event.observe_production_signal(0.9));
         assert!(!event.alarm_pending());
+    }
+
+    #[test]
+    fn signal_is_due_once_per_sampling_interval_of_event_driven_production() {
+        let to_production = |ctl: &mut Controller| {
+            ctl.begin_section();
+            assert!(ctl.phase().is_sampling());
+            assert!(!ctl.signal_due(Duration::from_secs(1)), "sampling owes no signal");
+            ctl.complete_interval(sample(0.3));
+            ctl.complete_interval(sample(0.1));
+            assert!(ctl.phase().is_production());
+        };
+        let mut fixed = Controller::new(cfg(2));
+        to_production(&mut fixed);
+        assert!(!fixed.signal_due(Duration::from_secs(1)), "fixed interval owes no signal");
+        let mut event = Controller::new(event_cfg(2));
+        to_production(&mut event);
+        let slice = event.config().target_sampling;
+        assert!(!event.signal_due(slice - Duration::from_nanos(1)));
+        assert!(event.signal_due(slice));
     }
 
     #[test]

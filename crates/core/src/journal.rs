@@ -25,8 +25,8 @@
 //!   [`crate::theory::Analysis`]). Under that assumption a measurement of
 //!   age `t` is trusted with weight `e^{-λ·t}` — the same factor the
 //!   anticipated-overhead bound uses. [`measurement_confidence`] computes
-//!   it; [`EvidenceTracker`] tracks per-policy measurement ages for the
-//!   drivers (the controller itself keeps no timestamps).
+//!   it from the measurement times the controller keeps
+//!   ([`Controller::measured_at`]).
 //! * **Zero cost when disabled.** Drivers are generic over the
 //!   [`Observer`]; with the disabled `()` every emission of
 //!   [`record_decision`], evidence assembly included, monomorphizes away
@@ -228,75 +228,42 @@ impl Observer for JournalBuffer {
     }
 }
 
-/// Tracks per-policy measurement ages for evidence snapshots.
-///
-/// The [`Controller`] keeps measurements but not *when* they were taken;
-/// the driver owns the clock, so it owns this tracker: call
-/// [`note_measurement`](EvidenceTracker::note_measurement) whenever an
-/// interval yields a usable sample for a policy, and
-/// [`evidence`](EvidenceTracker::evidence) to snapshot the controller
-/// state at a decision point.
-#[derive(Debug, Clone)]
-pub struct EvidenceTracker {
-    decay: f64,
-    measured_at: Vec<Option<Duration>>,
-}
-
-impl EvidenceTracker {
-    /// A tracker for `num_policies` policies with the [`DEFAULT_DECAY`]
-    /// confidence rate.
-    #[must_use]
-    pub fn new(num_policies: usize) -> Self {
-        Self::with_decay(num_policies, DEFAULT_DECAY)
-    }
-
-    /// A tracker with an explicit decay rate `λ` (per second of driver
-    /// time).
-    #[must_use]
-    pub fn with_decay(num_policies: usize, decay: f64) -> Self {
-        EvidenceTracker { decay, measured_at: vec![None; num_policies] }
-    }
-
-    /// Note that `policy` was measured at time `at`.
-    pub fn note_measurement(&mut self, policy: PolicyId, at: Duration) {
-        if let Some(slot) = self.measured_at.get_mut(policy) {
-            *slot = Some(at);
-        }
-    }
-
-    /// Snapshot the evidence visible to the controller at time `at`.
-    /// `interval_overhead`/`interval` describe the interval that just
-    /// ended (`None`/zero at non-interval decision points).
-    #[must_use]
-    pub fn evidence(
-        &self,
-        controller: &Controller,
-        at: Duration,
-        interval_overhead: Option<f64>,
-        interval: Duration,
-    ) -> Evidence {
-        let current = controller.measurements();
-        let history = controller.history();
-        let policies = (0..self.measured_at.len())
-            .map(|p| {
-                let overhead =
-                    current.get(p).copied().flatten().or_else(|| history.get(p).copied().flatten());
-                let confidence = match (overhead, self.measured_at[p]) {
-                    (Some(_), Some(t0)) => {
-                        measurement_confidence(at.saturating_sub(t0), self.decay)
-                    }
-                    _ => 0.0,
-                };
-                PolicyEvidence {
-                    policy: p,
-                    overhead,
-                    confidence,
-                    health: controller.health(p).as_str(),
+/// Snapshot the evidence visible to `controller` at time `at`: each
+/// policy's latest overhead, its health, and the [`measurement_confidence`]
+/// of that overhead from the controller's
+/// [`measured_at`](Controller::measured_at) stamps.
+/// `interval_overhead`/`interval` describe the interval that just ended
+/// (`None`/zero at non-interval decision points).
+fn evidence(
+    controller: &Controller,
+    at: Duration,
+    interval_overhead: Option<f64>,
+    interval: Duration,
+) -> Evidence {
+    let current = controller.measurements();
+    let history = controller.history();
+    let policies = controller
+        .measured_at()
+        .iter()
+        .enumerate()
+        .map(|(p, measured_at)| {
+            let overhead =
+                current.get(p).copied().flatten().or_else(|| history.get(p).copied().flatten());
+            let confidence = match (overhead, measured_at) {
+                (Some(_), Some(t0)) => {
+                    measurement_confidence(at.saturating_sub(*t0), DEFAULT_DECAY)
                 }
-            })
-            .collect();
-        Evidence { policies, detector: controller.detector_snapshot(), interval_overhead, interval }
-    }
+                _ => 0.0,
+            };
+            PolicyEvidence {
+                policy: p,
+                overhead,
+                confidence,
+                health: controller.health(p).as_str(),
+            }
+        })
+        .collect();
+    Evidence { policies, detector: controller.detector_snapshot(), interval_overhead, interval }
 }
 
 /// Write one controller [`Decision`] to the observer: the one emission
@@ -308,12 +275,9 @@ impl EvidenceTracker {
 /// matching [`DecisionKind::Health`], [`DecisionKind::Alarm`] and
 /// [`DecisionKind::Switch`] records, all carrying one evidence snapshot
 /// taken from `controller` after the decision. Nothing is built for a
-/// disabled observer; evidence is built only when a `tracker` is attached
-/// and the decision writes a record, and a measured interval first
-/// refreshes its policy's measurement age either way.
+/// disabled observer, and evidence only when the decision writes a record.
 pub fn record_decision<O: Observer>(
     obs: &mut O,
-    tracker: Option<&mut EvidenceTracker>,
     controller: &Controller,
     at: Duration,
     decision: &Decision,
@@ -348,13 +312,6 @@ pub fn record_decision<O: Observer>(
             obs.event(at, ev);
         }
     }
-    let Some(tracker) = tracker else {
-        return;
-    };
-    let closed = decision.closed;
-    if closed.is_some_and(|c| c.measured) {
-        tracker.note_measurement(decision.from, at);
-    }
     let health = decision
         .health
         .iter()
@@ -366,7 +323,8 @@ pub fn record_decision<O: Observer>(
     if kinds.peek().is_none() {
         return;
     }
-    let evidence = tracker.evidence(
+    let closed = decision.closed;
+    let evidence = evidence(
         controller,
         at,
         closed.map(|c| c.overhead),

@@ -19,9 +19,12 @@
 //! * [`controller`] — the phase state machine of §4: interval bookkeeping,
 //!   policy selection, periodic resampling, and the early cut-off / policy
 //!   ordering optimizations of §4.5. [`controller::Controller::close_interval`]
-//!   is the one decision step both drivers take at a switch point. The controller is *driven* by a runtime
-//!   (either the discrete-event simulator in `dynfb-sim` or the real-thread
-//!   executor in [`realtime`]) and never reads clocks itself, which makes it
+//!   is the one decision step both drivers take at a switch point; the
+//!   controller keeps the time of each policy's latest measurement and
+//!   the [`controller::DecisionCounts`] of what it decided. It is *driven*
+//!   by a runtime (either the discrete-event simulator in `dynfb-sim` or
+//!   the real-thread executor in [`realtime`]), which passes it the time
+//!   of each decision; it never reads clocks itself, which makes it
 //!   deterministic and directly testable.
 //! * [`detector`] — CUSUM and EWMA change-point detectors over the
 //!   per-interval waiting proportion, powering the event-driven resampling
@@ -104,11 +107,11 @@ pub mod rng;
 pub mod theory;
 pub mod trace;
 
-pub use controller::{Controller, ControllerConfig, Phase, PolicyId, ResampleTrigger, Transition};
-pub use detector::{Detector, DetectorConfig, DetectorSnapshot};
-pub use journal::{
-    DecisionKind, DecisionRecord, Evidence, EvidenceTracker, JournalBuffer, PolicyEvidence,
+pub use controller::{
+    Controller, ControllerConfig, DecisionCounts, Phase, PolicyId, ResampleTrigger, Transition,
 };
+pub use detector::{Detector, DetectorConfig, DetectorSnapshot};
+pub use journal::{DecisionKind, DecisionRecord, Evidence, JournalBuffer, PolicyEvidence};
 pub use metrics::{LockMetrics, LockTable, Log2Histogram, MetricsRegistry};
 pub use observer::Observer;
 pub use overhead::OverheadSample;

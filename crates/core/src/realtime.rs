@@ -57,7 +57,7 @@
 use crate::controller::{
     CloseFlags, ConfigError, Controller, ControllerConfig, Decision, HealthEvent, Phase, PolicyId,
 };
-use crate::journal::{record_decision, EvidenceTracker};
+use crate::journal::record_decision;
 use crate::metrics::{LockMetrics, LockTable};
 use crate::observer::Observer;
 use crate::overhead::{OverheadCounters, OverheadSample};
@@ -359,8 +359,6 @@ pub struct ExecutorConfig {
     pub controller: ControllerConfig,
     /// Costs used to convert counters to time overheads.
     pub costs: InstrumentCosts,
-    /// Check the timer every `poll_every` items (1 = every item).
-    pub poll_every: usize,
     /// When `Some(k)`, a sampling interval whose measured length exceeds
     /// `k ×` the target sampling interval counts as a *deadline miss* and is
     /// reported to the controller's health machine as a soft failure of the
@@ -376,7 +374,6 @@ impl Default for ExecutorConfig {
             workers: 4,
             controller: ControllerConfig::default(),
             costs: InstrumentCosts::default(),
-            poll_every: 1,
             deadline_miss_factor: None,
         }
     }
@@ -389,8 +386,6 @@ impl Default for ExecutorConfig {
 pub enum ExecError {
     /// `workers` was zero.
     NoWorkers,
-    /// `poll_every` was zero.
-    ZeroPollEvery,
     /// The embedded controller configuration is invalid.
     Controller(ConfigError),
     /// The workload's version count disagrees with the controller's policy
@@ -413,7 +408,6 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::NoWorkers => write!(f, "executor needs at least one worker"),
-            ExecError::ZeroPollEvery => write!(f, "poll_every must be non-zero"),
             ExecError::Controller(e) => write!(f, "invalid controller configuration: {e}"),
             ExecError::VersionMismatch { workload, controller } => write!(
                 f,
@@ -616,16 +610,11 @@ struct ControlState<O: Observer> {
     interval_start: Instant,
     run_start: Instant,
     snapshot: OverheadCounters,
-    /// Anchor of the current detector-signal window (event-driven trigger):
-    /// one waiting-proportion observation per `target_sampling` of
-    /// production time.
+    /// Anchor of the current detector-signal window: the next signal is
+    /// due when [`Controller::signal_due`] says so.
     signal_at: Instant,
     /// Instrumentation counters at `signal_at`.
     signal_snapshot: OverheadCounters,
-    /// Production intervals ended early by a change-point alarm.
-    alarms: u64,
-    /// Production intervals that reached the quiescence bound un-alarmed.
-    quiescent: u64,
     trace: Vec<PhaseRecord>,
     quarantine_log: Vec<PolicyId>,
     rehab_log: Vec<PolicyId>,
@@ -633,8 +622,6 @@ struct ControlState<O: Observer> {
     /// events and records arrive in a single total order with monotone
     /// wall-clock offsets.
     obs: O,
-    /// Per-policy measurement ages backing each record's evidence snapshot.
-    evidence: EvidenceTracker,
 }
 
 /// Executes [`AdaptiveWorkload`]s with dynamic feedback on a thread pool.
@@ -659,14 +646,11 @@ impl AdaptiveExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::NoWorkers`], [`ExecError::ZeroPollEvery`], or
-    /// [`ExecError::Controller`] for a malformed configuration.
+    /// Returns [`ExecError::NoWorkers`] or [`ExecError::Controller`] for a
+    /// malformed configuration.
     pub fn try_new(config: ExecutorConfig) -> Result<Self, ExecError> {
         if config.workers == 0 {
             return Err(ExecError::NoWorkers);
-        }
-        if config.poll_every == 0 {
-            return Err(ExecError::ZeroPollEvery);
         }
         Controller::try_new(config.controller.clone()).map_err(ExecError::Controller)?;
         Ok(AdaptiveExecutor { config })
@@ -735,7 +719,6 @@ impl AdaptiveExecutor {
         }
         let mut controller =
             Controller::try_new(self.config.controller.clone()).map_err(ExecError::Controller)?;
-        let mut evidence = EvidenceTracker::new(self.config.controller.num_policies);
         let mut obs = (sink, journal);
         obs.event(
             Duration::ZERO,
@@ -745,7 +728,7 @@ impl AdaptiveExecutor {
             },
         );
         let open = controller.open_section();
-        record_decision(&mut obs, Some(&mut evidence), &controller, Duration::ZERO, &open);
+        record_decision(&mut obs, &controller, Duration::ZERO, &open);
         let now = Instant::now();
         let shared = Shared {
             next_item: AtomicUsize::new(0),
@@ -764,13 +747,10 @@ impl AdaptiveExecutor {
                 snapshot: OverheadCounters::default(),
                 signal_at: now,
                 signal_snapshot: OverheadCounters::default(),
-                alarms: 0,
-                quiescent: 0,
                 trace: Vec::new(),
                 quarantine_log: Vec::new(),
                 rehab_log: Vec::new(),
                 obs,
-                evidence,
             }),
             costs: self.config.costs,
         };
@@ -788,6 +768,7 @@ impl AdaptiveExecutor {
         let mut control = lock(&shared.control);
         let elapsed = control.run_start.elapsed();
         control.obs.event(elapsed, TraceEvent::RunEnd);
+        let counts = control.controller.counts();
         Ok(ExecutionReport {
             elapsed,
             items_processed: completed,
@@ -796,14 +777,13 @@ impl AdaptiveExecutor {
             quarantined: control.quarantine_log.clone(),
             rehabilitated: control.rehab_log.clone(),
             panics: shared.panics.load(Ordering::Relaxed),
-            resample_alarms: control.alarms,
-            resample_quiescent: control.quiescent,
+            resample_alarms: counts.resample_alarms,
+            resample_quiescent: counts.resample_quiescent,
             lock_profile: table.map(LockTable::snapshot).unwrap_or_default(),
         })
     }
 
     fn worker_loop<W: AdaptiveWorkload, O: Observer>(&self, shared: &Shared<O>, workload: &W) {
-        let mut since_poll = 0usize;
         loop {
             if shared.aborted.load(Ordering::Acquire) {
                 return;
@@ -843,43 +823,28 @@ impl AdaptiveExecutor {
                 }
             }
 
-            since_poll += 1;
-            if since_poll >= self.config.poll_every {
-                since_poll = 0;
-                // Potential switch point: poll the timer (§4.1).
-                let expired = {
-                    let mut control = lock(&shared.control);
-                    let mut fire =
-                        control.interval_start.elapsed() >= control.controller.target_interval();
-                    // Event-driven trigger: once per `target_sampling` of
-                    // production time, feed the detector the waiting
-                    // proportion of the slice since the last signal. An
-                    // alarm forces a switch exactly as expiry would.
-                    if !fire
-                        && control.controller.phase().is_production()
-                        && control.controller.event_driven()
-                    {
-                        let since_signal = control.signal_at.elapsed();
-                        if since_signal >= control.controller.config().target_sampling {
-                            let counters = shared.instruments.snapshot();
-                            let delta = counters.since(&control.signal_snapshot);
-                            let sample = shared.costs.interval_sample(
-                                delta,
-                                since_signal,
-                                self.config.workers,
-                            );
-                            control.signal_at = Instant::now();
-                            control.signal_snapshot = counters;
-                            fire = control
-                                .controller
-                                .observe_production_signal(sample.waiting_fraction());
-                        }
-                    }
-                    fire
-                };
-                if expired && shared.gate.request_switch() {
-                    shared.switch_flag.store(true, Ordering::Release);
+            // Potential switch point: poll the timer (§4.1).
+            let expired = {
+                let mut control = lock(&shared.control);
+                let now = Instant::now();
+                let mut fire = now - control.interval_start >= control.controller.target_interval();
+                // Event-driven trigger: feed the detector the waiting
+                // proportion of the slice since the last signal. An alarm
+                // forces a switch exactly as expiry would.
+                let since_signal = now - control.signal_at;
+                if !fire && control.controller.signal_due(since_signal) {
+                    let counters = shared.instruments.snapshot();
+                    let delta = counters.since(&control.signal_snapshot);
+                    let sample =
+                        shared.costs.interval_sample(delta, since_signal, self.config.workers);
+                    control.signal_at = now;
+                    control.signal_snapshot = counters;
+                    fire = control.controller.observe_production_signal(sample.waiting_fraction());
                 }
+                fire
+            };
+            if expired && shared.gate.request_switch() {
+                shared.switch_flag.store(true, Ordering::Release);
             }
         }
     }
@@ -971,16 +936,10 @@ impl<O: Observer> Shared<O> {
         // in a run some have exited; normalizing by the configured pool
         // size would dilute the overhead of the survivors).
         let sample = self.costs.interval_sample(counters.since(&control.snapshot), actual, active);
-        let decision = control.controller.close_interval(sample, actual, flags);
+        let decision = control.controller.close_interval(at, sample, actual, flags);
         if let Some(closed) = decision.closed.filter(|c| !c.partial) {
             let (phase, policy, overhead) = (decision.before, decision.from, closed.overhead);
             control.trace.push(PhaseRecord { at, phase, policy, overhead, actual });
-        }
-        if decision.alarmed() {
-            control.alarms += 1;
-        }
-        if decision.quiescent {
-            control.quiescent += 1;
         }
         for ev in &decision.health {
             if let HealthEvent::Rehabilitated(p) = ev {
@@ -993,8 +952,8 @@ impl<O: Observer> Shared<O> {
             control.signal_at = now;
             control.signal_snapshot = counters;
         }
-        let ControlState { obs, evidence, controller, .. } = control;
-        record_decision(obs, Some(evidence), controller, at, &decision);
+        let ControlState { obs, controller, .. } = control;
+        record_decision(obs, controller, at, &decision);
         decision
     }
 }
@@ -1062,7 +1021,6 @@ mod tests {
                 ..ControllerConfig::default()
             },
             costs: InstrumentCosts::default(),
-            poll_every: 1,
             deadline_miss_factor: None,
         })
     }
@@ -1451,8 +1409,6 @@ mod fault_tests {
     fn invalid_configs_are_errors_not_panics() {
         let bad = ExecutorConfig { workers: 0, ..ExecutorConfig::default() };
         assert_eq!(AdaptiveExecutor::try_new(bad).unwrap_err(), ExecError::NoWorkers);
-        let bad = ExecutorConfig { poll_every: 0, ..ExecutorConfig::default() };
-        assert_eq!(AdaptiveExecutor::try_new(bad).unwrap_err(), ExecError::ZeroPollEvery);
         let bad = ExecutorConfig {
             controller: ControllerConfig { num_policies: 0, ..ControllerConfig::default() },
             ..ExecutorConfig::default()

@@ -2,14 +2,17 @@
 //! `SwitchReason`, and `journal::record_decision` writes each decision to
 //! the trace and the journal. Driving the close step through every reason
 //! checks that the two channels agree on each decision: same timestamp,
-//! same policies, same reason.
+//! same policies, same reason; and that the controller's own books (its
+//! decision counts and measurement times) match what it decided.
 
 use dynfb_core::controller::{
-    CloseFlags, Controller, ControllerConfig, Decision, EarlyCutoff as Cutoff, RehabPolicy,
-    ResampleTrigger,
+    CloseFlags, Controller, ControllerConfig, Decision, DecisionCounts, EarlyCutoff as Cutoff,
+    HealthEvent, RehabPolicy, ResampleTrigger,
 };
 use dynfb_core::detector::DetectorConfig;
-use dynfb_core::journal::{record_decision, DecisionKind, EvidenceTracker, JournalBuffer};
+use dynfb_core::journal::{
+    measurement_confidence, record_decision, DecisionKind, JournalBuffer, DEFAULT_DECAY,
+};
 use dynfb_core::overhead::OverheadSample;
 use dynfb_core::trace::{RingBuffer, SwitchReason, TraceEvent};
 use std::time::Duration;
@@ -25,33 +28,74 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn record(&mut self, ctl: &Controller, tracker: &mut EvidenceTracker, d: &Decision) {
+    /// Advance the clock by one interval and return the new time.
+    fn tick(&mut self) -> Duration {
         self.now += INTERVAL;
+        self.now
+    }
+
+    fn record(&mut self, ctl: &Controller, d: &Decision) {
         let mut obs = (&mut self.ring, &mut self.journal);
-        record_decision(&mut obs, Some(tracker), ctl, self.now, d);
+        record_decision(&mut obs, ctl, self.now, d);
     }
 }
 
-/// One controller under test with its evidence tracker.
+/// One controller under test, with every decision it took and the flags
+/// that closed each interval (`None` for a section start).
 struct Driven {
     ctl: Controller,
-    tracker: EvidenceTracker,
+    log: Vec<(Option<CloseFlags>, Decision)>,
 }
 
 impl Driven {
     fn open(cfg: ControllerConfig, rec: &mut Recorder) -> Self {
         let mut ctl = Controller::new(cfg);
-        let mut tracker = EvidenceTracker::new(ctl.config().num_policies);
         let open = ctl.open_section();
         assert_eq!(open.reason, None, "opening a section is not a switch");
-        rec.record(&ctl, &mut tracker, &open);
-        Driven { ctl, tracker }
+        rec.tick();
+        rec.record(&ctl, &open);
+        Driven { ctl, log: vec![(None, open)] }
     }
 
     fn close(&mut self, rec: &mut Recorder, sample: OverheadSample, flags: CloseFlags) -> Decision {
-        let d = self.ctl.close_interval(sample, INTERVAL, flags);
-        rec.record(&self.ctl, &mut self.tracker, &d);
+        let d = self.ctl.close_interval(rec.tick(), sample, INTERVAL, flags);
+        rec.record(&self.ctl, &d);
+        self.log.push((Some(flags), d.clone()));
         d
+    }
+
+    /// The counts the drivers used to tally from each decision: health
+    /// events by kind, crash fallbacks by reason, a watchdog soft failure
+    /// per watchdog abort that closed an interval, and per closed
+    /// production interval of an event-driven controller either an alarm
+    /// or quiescence.
+    fn derived_counts(&self) -> DecisionCounts {
+        let mut c = DecisionCounts::default();
+        for (flags, d) in &self.log {
+            for ev in &d.health {
+                match ev {
+                    HealthEvent::Suspected(_) => c.suspected += 1,
+                    HealthEvent::Quarantined { .. } => c.quarantined += 1,
+                    HealthEvent::Probing(_) => c.probed += 1,
+                    HealthEvent::Rehabilitated(_) => c.rehabilitated += 1,
+                    HealthEvent::Cleared(_) => c.cleared += 1,
+                }
+            }
+            if d.reason == Some(SwitchReason::CrashFallback) {
+                c.crash_fallbacks += 1;
+            }
+            if flags.is_some_and(|f| f.watchdog_abort) && d.closed.is_some() {
+                c.watchdog_soft_failures += 1;
+            }
+            let production_closed =
+                d.before.is_production() && d.closed.is_some_and(|c| !c.partial);
+            if d.alarmed() {
+                c.resample_alarms += 1;
+            } else if production_closed && self.ctl.event_driven() {
+                c.resample_quiescent += 1;
+            }
+        }
+        c
     }
 
     /// Close with a plain measurement and return the decision's reason.
@@ -100,7 +144,7 @@ fn every_switch_reason_reaches_trace_and_journal_identically() {
     assert_eq!((idle.reason, idle.closed, idle.opened()), (None, None, false));
     let quiet = d.close(&mut rec, sample(0.1), CloseFlags::default());
     assert_eq!(quiet.reason, Some(Resample));
-    assert!(quiet.quiescent && !quiet.alarmed());
+    assert!(!quiet.alarmed());
 
     // An unusable interval records nothing and falls back.
     let unusable = CloseFlags { unusable: true, ..CloseFlags::default() };
@@ -113,7 +157,7 @@ fn every_switch_reason_reaches_trace_and_journal_identically() {
     assert!((0..100).any(|_| d.ctl.observe_production_signal(0.9)), "the chart must alarm");
     let alarm = d.close(&mut rec, sample(0.1), CloseFlags::default());
     assert_eq!(alarm.reason, Some(ChangePoint));
-    assert!(alarm.alarmed() && !alarm.quiescent);
+    assert!(alarm.alarmed());
 
     // The watchdog aborts the stuck sampling interval, which ignores the
     // unusable flag: it feeds no measurement.
@@ -152,6 +196,24 @@ fn every_switch_reason_reaches_trace_and_journal_identically() {
     );
     let waiting_only = OverheadSample::new(Duration::ZERO, INTERVAL / 4, INTERVAL);
     assert_eq!(cut.close(&mut rec, waiting_only, CloseFlags::default()).reason, Some(EarlyCutoff));
+
+    // The controller's counts equal the totals derived from its decisions,
+    // and the scenario exercised every kind.
+    assert_eq!(d.ctl.counts(), d.derived_counts());
+    assert_eq!(cut.ctl.counts(), cut.derived_counts());
+    let c = d.ctl.counts();
+    for (name, n) in [
+        ("quarantined", c.quarantined),
+        ("probed", c.probed),
+        ("rehabilitated", c.rehabilitated),
+        ("suspected", c.suspected),
+        ("crash_fallbacks", c.crash_fallbacks),
+        ("watchdog_soft_failures", c.watchdog_soft_failures),
+        ("resample_alarms", c.resample_alarms),
+        ("resample_quiescent", c.resample_quiescent),
+    ] {
+        assert!(n > 0, "{name} never counted: {c:?}");
+    }
 
     // Every switch that closed an interval sits between that interval's
     // End and the next interval's Start.
@@ -218,4 +280,30 @@ fn every_switch_reason_reaches_trace_and_journal_identically() {
     ] {
         assert!(reasons.contains(&reason), "{reason} never decided: {reasons:?}");
     }
+}
+
+#[test]
+fn evidence_confidence_ages_from_the_measurement_time() {
+    let mut ctl = Controller::new(ControllerConfig {
+        num_policies: 2,
+        target_sampling: INTERVAL,
+        ..ControllerConfig::default()
+    });
+    ctl.open_section();
+    let t0 = Duration::from_secs(2);
+    let t1 = Duration::from_secs(7);
+    // Policy 0 is measured at t0; the decision at t1 closes policy 1's
+    // interval as unusable, so policy 1 stays unmeasured.
+    ctl.close_interval(t0, sample(0.2), INTERVAL, CloseFlags::default());
+    let unusable = CloseFlags { unusable: true, ..CloseFlags::default() };
+    let d = ctl.close_interval(t1, sample(0.4), INTERVAL, unusable);
+    assert_eq!(ctl.measured_at(), &[Some(t0), None]);
+
+    let mut journal = JournalBuffer::new(16);
+    record_decision(&mut journal, &ctl, t1, &d);
+    let rec = journal.latest().expect("the switch writes a record");
+    let evidence = &rec.evidence.policies;
+    assert_eq!(evidence[0].overhead, Some(0.2));
+    assert_eq!(evidence[0].confidence, measurement_confidence(t1 - t0, DEFAULT_DECAY));
+    assert_eq!((evidence[1].overhead, evidence[1].confidence), (None, 0.0));
 }

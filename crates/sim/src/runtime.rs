@@ -32,10 +32,10 @@ use crate::machine::{Machine, SimError};
 use crate::process::{BarrierId, LockId, ProcCtx, Process, Step};
 use crate::stats::{MachineStats, ProcStats};
 use crate::time::SimTime;
-use dynfb_core::controller::{CloseFlags, Controller, ControllerConfig, HealthEvent, Phase};
-use dynfb_core::journal::{record_decision, EvidenceTracker};
+use dynfb_core::controller::{CloseFlags, Controller, ControllerConfig, DecisionCounts, Phase};
+use dynfb_core::journal::record_decision;
 use dynfb_core::observer::Observer;
-use dynfb_core::trace::{interval_end_event, SwitchReason, TraceEvent};
+use dynfb_core::trace::{interval_end_event, TraceEvent};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -431,43 +431,6 @@ struct Driver<'a, O: Observer> {
     /// First unrecoverable runtime error. Once set, every processor winds
     /// down at its next body boundary and [`run_app`] returns this error.
     error: Option<SimError>,
-    /// Run-wide tally of health-machine activity, published as named
-    /// metrics counters when the run completes.
-    counts: HealthCounts,
-}
-
-/// Counters for the failure-domain layer, accumulated across all sections
-/// and controllers of a run. Only non-zero counters are published, so
-/// healthy runs keep byte-identical profiles.
-#[derive(Debug, Default, Clone, Copy)]
-struct HealthCounts {
-    suspected: u64,
-    quarantined: u64,
-    rehabilitated: u64,
-    cleared: u64,
-    probed: u64,
-    crash_fallbacks: u64,
-    watchdog_soft_failures: u64,
-    /// Production intervals ended early by a change-point alarm
-    /// (event-driven trigger only).
-    resample_alarms: u64,
-    /// Production intervals that ran to the quiescence bound with no alarm
-    /// (event-driven trigger only).
-    resample_quiescent: u64,
-}
-
-impl HealthCounts {
-    fn tally(&mut self, events: &[HealthEvent]) {
-        for ev in events {
-            match ev {
-                HealthEvent::Suspected(_) => self.suspected += 1,
-                HealthEvent::Quarantined { .. } => self.quarantined += 1,
-                HealthEvent::Probing(_) => self.probed += 1,
-                HealthEvent::Rehabilitated(_) => self.rehabilitated += 1,
-                HealthEvent::Cleared(_) => self.cleared += 1,
-            }
-        }
-    }
 }
 
 /// A controller saved between executions of one section, together with the
@@ -476,9 +439,6 @@ struct SavedController {
     controller: Controller,
     /// `(elapsed, accumulated stats)` of the interrupted interval.
     carry: Option<(Duration, ProcStats)>,
-    /// Measurement-age tracker for journal evidence (`None` when the
-    /// journal is disabled).
-    evidence: Option<EvidenceTracker>,
 }
 
 /// State of the section currently executing.
@@ -499,9 +459,8 @@ struct Active {
     /// clock away from simulation time.
     interval_start_observed: SimTime,
     snapshot: ProcStats,
-    /// Observed-clock anchor of the current detector-signal window
-    /// (event-driven trigger): one waiting-proportion observation is fed
-    /// to the controller per `target_sampling` of observed production time.
+    /// Observed-clock anchor of the current detector-signal window: the
+    /// next signal is due when [`Controller::signal_due`] says so.
     signal_at: SimTime,
     /// Machine-wide stats at `signal_at`, the baseline for the window's
     /// waiting proportion.
@@ -516,9 +475,6 @@ struct Active {
     section_over: bool,
     start: SimTime,
     records: Vec<SampleRecord>,
-    /// Measurement-age tracker for journal evidence; `Some` exactly when
-    /// the journal is enabled and the section runs a controller.
-    evidence: Option<EvidenceTracker>,
 }
 
 impl<'a, O: Observer> Driver<'a, O> {
@@ -550,7 +506,7 @@ impl<'a, O: Observer> Driver<'a, O> {
         );
         let entry = self.plan[plan_idx].clone();
         let init = match entry.kind {
-            SectionKind::Serial => (0, 0, None, now, observed, totals, None),
+            SectionKind::Serial => (0, 0, None, now, observed, totals),
             SectionKind::Parallel => {
                 let iters = self.app.begin_parallel(&entry.name);
                 let versions = self.app.versions(&entry.name);
@@ -566,18 +522,16 @@ impl<'a, O: Observer> Driver<'a, O> {
                                 available: versions,
                             });
                         };
-                        (iters, v, None, now, observed, totals, None)
+                        (iters, v, None, now, observed, totals)
                     }
                     RunMode::Dynamic(cfg) | RunMode::DynamicAsync(cfg) => {
                         let saved = self.controllers.remove(&entry.name);
-                        let (mut ctl, carry, mut tracker) = match saved {
-                            Some(s) => (s.controller, s.carry, s.evidence),
+                        let (mut ctl, carry) = match saved {
+                            Some(s) => (s.controller, s.carry),
                             None => {
                                 let mut cfg = cfg.clone();
                                 cfg.num_policies = versions.len();
-                                let tracker =
-                                    O::ENABLED.then(|| EvidenceTracker::new(versions.len()));
-                                (Controller::new(cfg), None, tracker)
+                                (Controller::new(cfg), None)
                             }
                         };
                         match (self.span_intervals, carry) {
@@ -602,38 +556,23 @@ impl<'a, O: Observer> Driver<'a, O> {
                                     backdate(now),
                                     backdate(observed),
                                     rebased,
-                                    tracker,
                                 )
                             }
                             _ => {
                                 // Starting a sampling phase may schedule a
                                 // rehabilitation probe.
                                 let open = ctl.open_section();
-                                self.counts.tally(&open.health);
-                                record_decision(
-                                    &mut self.obs,
-                                    tracker.as_mut(),
-                                    &ctl,
-                                    now.as_duration(),
-                                    &open,
-                                );
+                                record_decision(&mut self.obs, &ctl, now.as_duration(), &open);
                                 let first = ctl.current_policy();
-                                (iters, first, Some(ctl), now, observed, totals, tracker)
+                                (iters, first, Some(ctl), now, observed, totals)
                             }
                         }
                     }
                 }
             }
         };
-        let (
-            total_iters,
-            version,
-            controller,
-            interval_start,
-            interval_start_observed,
-            snapshot,
-            evidence,
-        ) = init;
+        let (total_iters, version, controller, interval_start, interval_start_observed, snapshot) =
+            init;
         self.active = Some(Active {
             plan_idx,
             kind: entry.kind,
@@ -653,7 +592,6 @@ impl<'a, O: Observer> Driver<'a, O> {
             section_over: false,
             start: now,
             records: Vec::new(),
-            evidence,
         });
         Ok(())
     }
@@ -673,7 +611,7 @@ impl<'a, O: Observer> Driver<'a, O> {
         crashed: usize,
         watchdog_abort: bool,
     ) {
-        let Driver { active, obs, counts, .. } = self;
+        let Driver { active, obs, .. } = self;
         let Some(active) = active.as_mut() else {
             return;
         };
@@ -691,7 +629,8 @@ impl<'a, O: Observer> Driver<'a, O> {
         // fallback) rather than a deceptively low overhead.
         let poisoned = crashed > active.crashed_snapshot;
         let flags = CloseFlags { unusable: poisoned, watchdog_abort, ..CloseFlags::default() };
-        let decision = ctl.close_interval(sample, actual, flags);
+        let at = now.as_duration();
+        let decision = ctl.close_interval(at, sample, actual, flags);
         if let Some(closed) = decision.closed {
             active.records.push(SampleRecord {
                 at: now,
@@ -702,27 +641,11 @@ impl<'a, O: Observer> Driver<'a, O> {
                 partial: closed.partial,
                 poisoned,
             });
-            if watchdog_abort {
-                // A watchdog abort is a soft failure of the policy whose
-                // interval never completed: first offense marks it suspect,
-                // repeat offenses quarantine it.
-                counts.watchdog_soft_failures += 1;
-            }
         }
         if decision.opened() {
             active.version = decision.next.unwrap_or(active.version);
         }
-        counts.tally(&decision.health);
-        if decision.reason == Some(SwitchReason::CrashFallback) {
-            counts.crash_fallbacks += 1;
-        }
-        if decision.alarmed() {
-            counts.resample_alarms += 1;
-        }
-        if decision.quiescent {
-            counts.resample_quiescent += 1;
-        }
-        record_decision(obs, active.evidence.as_mut(), ctl, now.as_duration(), &decision);
+        record_decision(obs, ctl, at, &decision);
         active.interval_start = now;
         active.interval_start_observed = observed;
         active.snapshot = totals;
@@ -813,8 +736,7 @@ impl<'a, O: Observer> Driver<'a, O> {
             // Persist the controller (and its policy history) for the next
             // execution of this section.
             if let Some(controller) = active.controller.take() {
-                let evidence = active.evidence.take();
-                self.controllers.insert(name, SavedController { controller, carry, evidence });
+                self.controllers.insert(name, SavedController { controller, carry });
             }
         }
     }
@@ -981,16 +903,12 @@ impl<'a, O: Observer> AppProcess<'a, O> {
                     && ctl.phase().is_sampling()
                     && watchdog
                         .is_some_and(|k| now.saturating_since(active.interval_start) > target * k);
-                // Event-driven trigger: once per `target_sampling` of
-                // observed production time, feed the detector the waiting
-                // proportion of the slice since the last signal. An alarm
-                // ends the production interval exactly as expiry would —
-                // the quiescence bound above stays the fallback.
-                if !expired
-                    && ctl.phase().is_production()
-                    && ctl.event_driven()
-                    && t.saturating_since(active.signal_at) >= ctl.config().target_sampling
-                {
+                // Event-driven trigger: feed the detector the waiting
+                // proportion of the observed-time slice since the last
+                // signal. An alarm ends the production interval exactly as
+                // expiry would — the quiescence bound above stays the
+                // fallback.
+                if !expired && ctl.signal_due(t.saturating_since(active.signal_at)) {
                     let totals = ctx.total_stats();
                     let slice = totals.since(&active.signal_snapshot).overhead_sample();
                     active.signal_at = t;
@@ -1180,7 +1098,6 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: Observer, J: Observer, M: 
         span_intervals: config.span_intervals,
         sampling_watchdog: config.sampling_watchdog,
         error: None,
-        counts: HealthCounts::default(),
     }));
     let processes: Vec<Box<dyn Process + '_>> = (0..config.num_procs)
         .map(|p| {
@@ -1198,7 +1115,7 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: Observer, J: Observer, M: 
         })
         .collect();
     let result = machine.run_metered(processes, metrics);
-    let Driver { error, counts: hc, reports, .. } = Rc::try_unwrap(driver)
+    let Driver { error, reports, controllers, active, .. } = Rc::try_unwrap(driver)
         .unwrap_or_else(|_| unreachable!("all processes dropped"))
         .into_inner();
     // A runtime error recorded by a winding-down processor is the root
@@ -1208,21 +1125,28 @@ pub fn run_app_flight_recorded<'a, A: SimApp + 'a, S: Observer, J: Observer, M: 
         return Err(err);
     }
     let stats = result?;
+    let counts: Vec<DecisionCounts> = controllers
+        .into_values()
+        .map(|s| s.controller)
+        .chain(active.and_then(|a| a.controller))
+        .map(|c| c.counts())
+        .collect();
+    let sum = |count: fn(&DecisionCounts) -> u64| counts.iter().map(count).sum::<u64>();
     // Publish the failure-domain counters. Only non-zero values are
     // emitted, so a healthy run's profile is byte-identical to one produced
     // before the failure layer existed.
     let trace_dropped = sink.dropped();
     let journal_dropped = journal.dropped();
     for (name, value) in [
-        ("policy_suspected", hc.suspected),
-        ("policy_quarantined", hc.quarantined),
-        ("policy_probed", hc.probed),
-        ("policy_rehabilitated", hc.rehabilitated),
-        ("policy_cleared", hc.cleared),
-        ("switch_crash_fallbacks", hc.crash_fallbacks),
-        ("watchdog_soft_failures", hc.watchdog_soft_failures),
-        ("resample_alarms", hc.resample_alarms),
-        ("resample_quiescent", hc.resample_quiescent),
+        ("policy_suspected", sum(|c| c.suspected)),
+        ("policy_quarantined", sum(|c| c.quarantined)),
+        ("policy_probed", sum(|c| c.probed)),
+        ("policy_rehabilitated", sum(|c| c.rehabilitated)),
+        ("policy_cleared", sum(|c| c.cleared)),
+        ("switch_crash_fallbacks", sum(|c| c.crash_fallbacks)),
+        ("watchdog_soft_failures", sum(|c| c.watchdog_soft_failures)),
+        ("resample_alarms", sum(|c| c.resample_alarms)),
+        ("resample_quiescent", sum(|c| c.resample_quiescent)),
         ("procs_crashed", stats.crashed_procs().len() as u64),
         ("locks_recovered", stats.recovered_locks()),
         ("trace_dropped", trace_dropped),
