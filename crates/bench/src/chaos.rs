@@ -206,28 +206,6 @@ fn from_onset(start: Duration) -> Window {
     Window::new(start, Duration::from_secs(3_600))
 }
 
-/// A plan with `count` transient frozen-clock windows of `width`, spaced
-/// `period` apart starting at `start`: the controller's timer freezes and
-/// thaws repeatedly, exercising the watchdog/health machinery without any
-/// single permanent fault. Shared with the rehabilitation harness
-/// (`crate::rehab`).
-#[must_use]
-pub fn freeze_cycles(
-    seed: u64,
-    start: Duration,
-    width: Duration,
-    period: Duration,
-    count: usize,
-) -> FaultPlan {
-    let mut plan = FaultPlan::new(seed);
-    for k in 0..count {
-        let at = start + period * k as u32;
-        plan =
-            plan.with_event(Window::new(at, at + width), FaultKind::TimerDrift { ppm: -1_000_000 });
-    }
-    plan
-}
-
 /// A plan with `count` transient contention-storm windows of `width`,
 /// spaced `period` apart starting at `start`: the best policy flips to
 /// coarse locking inside every window and back outside it.
@@ -359,7 +337,7 @@ pub fn scenarios(cfg: &ChaosConfig) -> Vec<Scenario> {
             // environment it just left. The two-sided change-point chart
             // catches both edges. (The transient *clock-freeze*
             // counterpart of this scenario lives in the rehabilitation
-            // harness, built on [`freeze_cycles`].)
+            // harness: `rehab::storm_plan`'s frozen-clock strikes.)
             name: "storm-cycles",
             plan: contention_cycles(
                 cfg.seed,

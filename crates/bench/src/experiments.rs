@@ -23,6 +23,7 @@ use dynfb_compiler::artifact::CodeSizeReport;
 use dynfb_compiler::CompiledApp;
 use dynfb_core::controller::ControllerConfig;
 use dynfb_core::theory::Analysis;
+use dynfb_core::trace::json_escape;
 use dynfb_sim::{run_app_ref, AppReport, RunMode, SectionKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -1060,24 +1061,6 @@ pub fn render_document(exps: &[&Experiment], store: &ResultStore) -> String {
         }
     }
     md
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render the machine-readable results. Contains only deterministic

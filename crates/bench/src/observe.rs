@@ -101,9 +101,9 @@ pub fn run_observed(cfg: &ChaosConfig, scenario: &Scenario, mode: ChaosMode) -> 
         mode,
         result: chaos::job_result(scenario, mode, &report),
         trace_dropped: ring.dropped(),
-        events: ring.into_events(),
+        events: ring.into_vec(),
         journal_dropped: journal.dropped(),
-        records: journal.into_records(),
+        records: journal.into_vec(),
         registry,
         totals: report.stats.totals(),
     }

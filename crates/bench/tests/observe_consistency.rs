@@ -86,15 +86,15 @@ fn all_channels_together_record_what_each_records_alone() {
             let mut ring = RingBuffer::new(1 << 16);
             let r = run_app_flight_recorded(app(), &run, &mut ring, &mut (), &mut ());
             assert_eq!(result(r.expect("ring-only run")), full.result, "{at}");
-            assert_eq!(ring.into_events(), full.events, "{at}: ring only");
+            assert_eq!(ring.into_vec(), full.events, "{at}: ring only");
 
             let mut ring = RingBuffer::new(1 << 16);
             let mut journal = JournalBuffer::new(1 << 16);
             let r = run_app_flight_recorded(app(), &run, &mut ring, &mut journal, &mut ());
             assert_eq!(result(r.expect("ring+journal run")), full.result, "{at}");
-            assert_eq!(ring.into_events(), full.events, "{at}: ring+journal");
+            assert_eq!(ring.into_vec(), full.events, "{at}: ring+journal");
             assert_eq!(
-                decision_ndjson(&journal.into_records()),
+                decision_ndjson(&journal.into_vec()),
                 decision_ndjson(&full.records),
                 "{at}: ring+journal"
             );

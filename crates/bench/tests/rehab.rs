@@ -62,7 +62,7 @@ fn total_quarantine_degrades_to_the_safest_policy_and_completes() {
     assert_eq!(ring.dropped(), 0, "trace ring must not drop events");
     assert_eq!(traced.elapsed(), run.report.elapsed(), "trace sink must not perturb the run");
 
-    let events = ring.into_events();
+    let events = ring.into_vec();
     let quarantined: BTreeSet<usize> = events
         .iter()
         .filter_map(|e| match e.event {

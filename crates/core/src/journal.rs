@@ -38,9 +38,8 @@
 
 use crate::controller::{Controller, Decision, PolicyId};
 use crate::detector::DetectorSnapshot;
-use crate::observer::Observer;
+use crate::observer::{Observer, Recorder};
 use crate::trace::{interval_end_event, phase_start_event, SwitchReason, TraceEvent};
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Default decay rate `λ` for measurement confidence, matching the
@@ -149,84 +148,10 @@ pub struct DecisionRecord {
 /// [`dropped`](Observer::dropped) on a [`JournalBuffer`]) keeps compiling.
 pub use crate::observer::Observer as JournalSink;
 
-/// A bounded collector: keeps the most recent `capacity` records (sequence
-/// numbers assigned on arrival), counting anything older that had to be
-/// dropped so truncation is never silent.
-#[derive(Debug, Clone, Default)]
-pub struct JournalBuffer {
-    capacity: usize,
-    records: VecDeque<DecisionRecord>,
-    next_seq: u64,
-    dropped: u64,
-}
-
-impl JournalBuffer {
-    /// A journal holding at most `capacity` records (minimum 1). Storage
-    /// grows with use, as in [`crate::trace::RingBuffer::new`].
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        JournalBuffer { capacity, records: VecDeque::new(), next_seq: 0, dropped: 0 }
-    }
-
-    /// Number of buffered records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if no records are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total records ever recorded (buffered + dropped).
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Iterate over the buffered records, oldest first.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &DecisionRecord> {
-        self.records.iter()
-    }
-
-    /// The most recent record, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<&DecisionRecord> {
-        self.records.back()
-    }
-
-    /// Consume the buffer, returning the records oldest first.
-    #[must_use]
-    pub fn into_records(self) -> Vec<DecisionRecord> {
-        self.records.into()
-    }
-
-    /// The last `n` records, oldest first (the journal tail).
-    #[must_use]
-    pub fn tail(&self, n: usize) -> Vec<DecisionRecord> {
-        let skip = self.records.len().saturating_sub(n);
-        self.records.iter().skip(skip).cloned().collect()
-    }
-}
-
-impl Observer for JournalBuffer {
-    fn decision(&mut self, mut record: DecisionRecord) {
-        record.seq = self.next_seq;
-        self.next_seq += 1;
-        if self.records.len() >= self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
+/// The bounded collector of decision records: keeps the most recent
+/// `capacity` records, numbered in arrival order, and counts the older
+/// ones it dropped.
+pub type JournalBuffer = Recorder<DecisionRecord>;
 
 /// Snapshot the evidence visible to `controller` at time `at`: each
 /// policy's latest overhead, its health, and the [`measurement_confidence`]
@@ -536,22 +461,5 @@ mod tests {
         // Other numeric fields survive.
         assert!(stripped.contains("\"seq\":1"), "{stripped}");
         assert_eq!(strip_wall_clock(&stripped), stripped);
-    }
-
-    #[test]
-    fn journal_tail_returns_newest_oldest_first() {
-        let mut buf = JournalBuffer::new(8);
-        for i in 0..5u64 {
-            buf.decision(DecisionRecord {
-                seq: 0,
-                at: Duration::from_nanos(i),
-                kind: DecisionKind::Alarm { policy: 0 },
-                evidence: Evidence::default(),
-            });
-        }
-        let tail = buf.tail(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].seq, 3);
-        assert_eq!(tail[1].seq, 4);
     }
 }

@@ -42,7 +42,8 @@
 //! * [`observer`] — the one [`observer::Observer`] interface both drivers
 //!   report to: trace events, controller decisions, lock events and
 //!   counters, with `()` as the zero-cost disabled observer and pairs
-//!   `(A, B)` to attach several channels at once.
+//!   `(A, B)` to attach several channels at once; and the bounded
+//!   [`observer::Recorder`] behind the trace ring and the journal.
 //! * [`trace`] — structured tracing of the adaptation timeline: the
 //!   [`trace::TraceEvent`] vocabulary, a bounded [`trace::RingBuffer`]
 //!   collector, and a Chrome trace-event / Perfetto JSON exporter.
@@ -53,9 +54,9 @@
 //!   so pruning 12 → 4 versions cuts sampling overhead 3x).
 //! * [`metrics`] — per-lock profiling: an accumulating
 //!   [`metrics::MetricsRegistry`] observer with log2 histograms (and
-//!   p50/p95/p99 quantile estimates derived from them), an atomic
-//!   [`metrics::LockTable`] for realtime workers, and deterministic
-//!   Prometheus-text / JSON exporters.
+//!   p50/p95/p99 quantile estimates derived from them), fed by the
+//!   simulator's lock events, and deterministic Prometheus-text / JSON
+//!   exporters.
 //! * [`journal`] — the decision flight recorder: every controller decision
 //!   (sampling winner, early cut-off, watchdog abort, change-point alarm,
 //!   quarantine transition, crash fallback) captured as a
@@ -112,7 +113,7 @@ pub use controller::{
 };
 pub use detector::{Detector, DetectorConfig, DetectorSnapshot};
 pub use journal::{DecisionKind, DecisionRecord, Evidence, JournalBuffer, PolicyEvidence};
-pub use metrics::{LockMetrics, LockTable, Log2Histogram, MetricsRegistry};
+pub use metrics::{LockMetrics, Log2Histogram, MetricsRegistry};
 pub use observer::Observer;
 pub use overhead::OverheadSample;
 pub use trace::{RingBuffer, TraceEvent, TracedEvent};

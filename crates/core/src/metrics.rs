@@ -26,7 +26,6 @@ use crate::observer::Observer;
 use crate::trace::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of buckets in a [`Log2Histogram`].
@@ -284,108 +283,6 @@ impl Observer for MetricsRegistry {
     }
 }
 
-/// One shared lock slot updated by concurrent workers (realtime driver).
-///
-/// All stores are `Relaxed` saturating adds — per-lock profiling must
-/// never introduce synchronization beyond the lock being profiled.
-#[derive(Debug, Default)]
-pub struct AtomicLockCell {
-    acquires: AtomicU64,
-    contended_acquires: AtomicU64,
-    releases: AtomicU64,
-    failed_attempts: AtomicU64,
-    waiting_ns: AtomicU64,
-    held_ns: AtomicU64,
-}
-
-fn saturating_fetch_add(cell: &AtomicU64, delta: u64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = cur.saturating_add(delta);
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn duration_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A fixed-size table of [`AtomicLockCell`]s shared by realtime workers.
-///
-/// Sized once at construction (the realtime driver knows its lock set up
-/// front); out-of-range ids are ignored rather than panicking — a profile
-/// must never crash the workload it observes.
-#[derive(Debug, Default)]
-pub struct LockTable {
-    cells: Vec<AtomicLockCell>,
-}
-
-impl LockTable {
-    /// A table profiling locks `0..n`.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        LockTable { cells: (0..n).map(|_| AtomicLockCell::default()).collect() }
-    }
-
-    /// Number of lock slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the table has no slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Record a successful acquisition of lock `id` after `waited` wall
-    /// time and `failed` unsuccessful try-lock attempts.
-    pub fn record_acquire(&self, id: usize, waited: Duration, failed: u64) {
-        let Some(c) = self.cells.get(id) else { return };
-        saturating_fetch_add(&c.acquires, 1);
-        if failed > 0 {
-            saturating_fetch_add(&c.contended_acquires, 1);
-        }
-        saturating_fetch_add(&c.failed_attempts, failed);
-        saturating_fetch_add(&c.waiting_ns, duration_ns(waited));
-    }
-
-    /// Record a release of lock `id` after holding it for `held`.
-    pub fn record_release(&self, id: usize, held: Duration) {
-        let Some(c) = self.cells.get(id) else { return };
-        saturating_fetch_add(&c.releases, 1);
-        saturating_fetch_add(&c.held_ns, duration_ns(held));
-    }
-
-    /// Snapshot every slot into plain [`LockMetrics`].
-    ///
-    /// Realtime profiles carry no modeled locking cost and no histograms
-    /// (`locking` is zero and both histograms empty): wall-clock wait and
-    /// hold times are measured directly, while per-operation cost is a
-    /// calibration-model quantity, not an observable.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<LockMetrics> {
-        self.cells
-            .iter()
-            .map(|c| LockMetrics {
-                acquires: c.acquires.load(Ordering::Relaxed),
-                contended_acquires: c.contended_acquires.load(Ordering::Relaxed),
-                releases: c.releases.load(Ordering::Relaxed),
-                failed_attempts: c.failed_attempts.load(Ordering::Relaxed),
-                locking: Duration::ZERO,
-                waiting: Duration::from_nanos(c.waiting_ns.load(Ordering::Relaxed)),
-                held: Duration::from_nanos(c.held_ns.load(Ordering::Relaxed)),
-                wait_hist: Log2Histogram::default(),
-                hold_hist: Log2Histogram::default(),
-            })
-            .collect()
-    }
-}
-
 /// Escape a Prometheus label value (`\`, `"`, and newline).
 fn prom_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -470,8 +367,8 @@ fn prom_quantiles(
     rows: &[(usize, String, &LockMetrics)],
     hist_of: impl Fn(&LockMetrics) -> &Log2Histogram,
 ) {
-    // Realtime lock tables carry no histograms; skip the family entirely
-    // when no row has observations rather than emitting an empty header.
+    // Skip the family entirely when no row has observations rather than
+    // emitting an empty header.
     if rows.iter().all(|(_, _, m)| hist_of(m).total() == 0) {
         return;
     }
@@ -698,25 +595,6 @@ mod tests {
         assert_eq!(totals.overhead(), Duration::from_nanos(1050));
     }
 
-    #[test]
-    fn lock_table_snapshot_matches_recordings_and_ignores_out_of_range() {
-        let table = LockTable::new(2);
-        table.record_acquire(0, Duration::from_nanos(10), 2);
-        table.record_acquire(0, Duration::ZERO, 0);
-        table.record_release(0, Duration::from_nanos(30));
-        table.record_acquire(7, Duration::from_nanos(1), 1); // out of range: ignored
-        table.record_release(7, Duration::from_nanos(1));
-        let snap = table.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].acquires, 2);
-        assert_eq!(snap[0].contended_acquires, 1);
-        assert_eq!(snap[0].failed_attempts, 2);
-        assert_eq!(snap[0].waiting, Duration::from_nanos(10));
-        assert_eq!(snap[0].held, Duration::from_nanos(30));
-        assert_eq!(snap[0].releases, 1);
-        assert!(snap[1].is_empty());
-    }
-
     fn sample_registry() -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.lock_acquired(1, Duration::from_nanos(200), Duration::ZERO, 0);
@@ -809,9 +687,8 @@ mod tests {
         let json = profile_json(&reg, |id| format!("slot{id}"));
         assert!(json.contains(r#""waitQuantilesNs":{"p50":"#), "{json}");
         assert!(json.contains(r#""holdQuantilesNs":{"p50":"#), "{json}");
-        // A registry whose histograms are all empty (e.g. a realtime
-        // LockTable snapshot) omits the quantile families entirely but
-        // renders null quantiles in JSON.
+        // A registry whose histograms are all empty omits the quantile
+        // families entirely but renders null quantiles in JSON.
         let mut empty_hists = MetricsRegistry::new();
         let mut row = LockMetrics { acquires: 1, ..LockMetrics::default() };
         row.waiting = Duration::from_nanos(5);
@@ -825,8 +702,8 @@ mod tests {
     /// Prometheus text-exposition conformance: valid metric names, label
     /// escaping of hostile region labels (the compiler's `"class:tag+tag"`
     /// labels can in principle carry any bytes), and HELP/TYPE ordering.
-    /// Pinned as a unit test so the live `/metrics` endpoint can't serve
-    /// malformed text.
+    /// Pinned as a unit test so the `.prom` profiles `observe` exports can't
+    /// carry malformed text.
     #[test]
     fn prometheus_exposition_conformance() {
         fn valid_metric_name(name: &str) -> bool {
@@ -922,10 +799,5 @@ mod tests {
         let other = LockMetrics { acquires: 5, ..LockMetrics::default() };
         m.merge(&other);
         assert_eq!(m.acquires, u64::MAX);
-
-        let table = LockTable::new(1);
-        table.record_acquire(0, Duration::from_nanos(u64::MAX), 0);
-        table.record_acquire(0, Duration::from_nanos(u64::MAX), 0);
-        assert_eq!(table.snapshot()[0].waiting, Duration::from_nanos(u64::MAX));
     }
 }

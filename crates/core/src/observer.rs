@@ -7,7 +7,10 @@
 //! ([`decision`](Observer::decision)), per-lock activity
 //! ([`lock_acquired`](Observer::lock_acquired),
 //! [`lock_released`](Observer::lock_released)) and named
-//! [`counter`](Observer::counter)s. Every method has a no-op default, so a
+//! [`counter`](Observer::counter)s. Only the simulator emits lock events:
+//! the realtime observer sits behind the executor's control mutex, and
+//! taking it on every acquire would serialize the workers on more than the
+//! profiled lock. Every method has a no-op default, so a
 //! collector implements only its own channel: [`RingBuffer`] keeps events,
 //! [`JournalBuffer`] keeps decisions and [`MetricsRegistry`] keeps lock
 //! metrics and counters. Observers compose: the pair `(A, B)` forwards each
@@ -21,12 +24,17 @@
 //! hold time); the unobserved hot path is the same machine code as one with
 //! no observation layer at all.
 //!
+//! **Bounded collection.** The trace ring and the journal are one
+//! [`Recorder`]: it keeps the newest `capacity` items and counts the older
+//! ones it dropped, so truncation is never silent.
+//!
 //! [`RingBuffer`]: crate::trace::RingBuffer
 //! [`JournalBuffer`]: crate::journal::JournalBuffer
 //! [`MetricsRegistry`]: crate::metrics::MetricsRegistry
 
 use crate::journal::DecisionRecord;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, TracedEvent};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Receives what a driver observes about a run.
@@ -64,6 +72,104 @@ pub trait Observer {
     /// so truncation is never silent.
     fn dropped(&self) -> u64 {
         0
+    }
+}
+
+/// A bounded collector: keeps the most recent `capacity` items, counting
+/// (not silently discarding) anything older that had to be dropped.
+/// [`RingBuffer`] records trace events and [`JournalBuffer`] decision
+/// records.
+///
+/// [`RingBuffer`]: crate::trace::RingBuffer
+/// [`JournalBuffer`]: crate::journal::JournalBuffer
+#[derive(Debug, Clone)]
+pub struct Recorder<T> {
+    capacity: usize,
+    items: VecDeque<T>,
+    dropped: u64,
+}
+
+impl<T> Default for Recorder<T> {
+    /// The same as `Recorder::new(0)`: one slot.
+    fn default() -> Self {
+        Recorder::new(0)
+    }
+}
+
+impl<T> Recorder<T> {
+    /// A recorder holding at most `capacity` items (minimum 1). Storage
+    /// grows with use: recorders are built before their runs, and most
+    /// runs record a small fraction of the capacity.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        Recorder { capacity: capacity.max(1), items: VecDeque::new(), dropped: 0 }
+    }
+
+    /// Number of buffered items.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True if no items are buffered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Total items ever recorded (buffered + dropped).
+    #[must_use]
+    pub fn total_recorded(&self) -> u64 {
+        self.items.len() as u64 + self.dropped
+    }
+
+    /// Iterate over the buffered items, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
+        self.items.iter()
+    }
+
+    /// The most recent item, if any.
+    #[must_use]
+    pub fn latest(&self) -> Option<&T> {
+        self.items.back()
+    }
+
+    /// Consume the recorder, returning the buffered items oldest first.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<T> {
+        self.items.into()
+    }
+
+    /// Append `item`, dropping the oldest one when full.
+    fn push(&mut self, item: T) {
+        if self.items.len() >= self.capacity {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
+    }
+}
+
+impl Observer for Recorder<TracedEvent> {
+    fn event(&mut self, at: Duration, event: TraceEvent) {
+        self.push(TracedEvent { at, event });
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+/// Numbers each record in arrival order: `seq` counts every record before
+/// it, dropped ones included.
+impl Observer for Recorder<DecisionRecord> {
+    fn decision(&mut self, mut record: DecisionRecord) {
+        record.seq = self.total_recorded();
+        self.push(record);
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
@@ -166,6 +272,25 @@ mod tests {
     }
 
     #[test]
+    fn a_default_recorder_has_one_slot_and_drops_nothing_on_its_first_record() {
+        let mut ring = RingBuffer::default();
+        ring.event(Duration::ZERO, TraceEvent::RunEnd);
+        assert_eq!((ring.len(), ring.dropped()), (1, 0));
+        let mut journal = JournalBuffer::default();
+        for _ in 0..2 {
+            let kind = DecisionKind::Alarm { policy: 0 };
+            journal.decision(DecisionRecord {
+                seq: 0,
+                at: Duration::ZERO,
+                kind,
+                evidence: Evidence::default(),
+            });
+        }
+        assert_eq!((journal.len(), journal.dropped(), journal.total_recorded()), (1, 1, 2));
+        assert_eq!(journal.latest().map(|r| r.seq), Some(1));
+    }
+
+    #[test]
     fn a_pair_routes_each_channel_to_the_member_that_keeps_it() {
         let mut registry = MetricsRegistry::new();
         let mut obs = ((RingBuffer::new(1), JournalBuffer::new(8)), &mut registry);
@@ -180,10 +305,10 @@ mod tests {
         // The one-slot ring dropped the first event; the pair sums losses.
         assert_eq!(obs.dropped(), 1);
         let ((ring, journal), _) = obs;
-        let events = ring.into_events();
+        let events = ring.into_vec();
         assert_eq!(events.len(), 1);
         assert_eq!((events[0].at, &events[0].event), (at, &switch));
-        let records = journal.into_records();
+        let records = journal.into_vec();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].kind, kind);
         assert_eq!(registry.lock(3).acquires, 1);

@@ -58,12 +58,10 @@ use crate::controller::{
     CloseFlags, ConfigError, Controller, ControllerConfig, Decision, HealthEvent, Phase, PolicyId,
 };
 use crate::journal::record_decision;
-use crate::metrics::{LockMetrics, LockTable};
 use crate::observer::Observer;
 use crate::overhead::{OverheadCounters, OverheadSample};
 use crate::trace::TraceEvent;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
@@ -255,77 +253,9 @@ impl<T> ProfiledMutex<T> {
         }
     }
 
-    /// Like [`lock`](ProfiledMutex::lock), additionally attributing the
-    /// acquisition to lock `id` of `table`: wall-clock wait time (measured
-    /// only when at least one attempt failed, matching the simulator's
-    /// zero-wait uncontended acquires) and, when the returned guard drops,
-    /// the wall-clock hold time. All table arithmetic saturates, so the
-    /// per-lock profile degrades to pinned maxima rather than wrapping.
-    pub fn lock_profiled<'a, 't>(
-        &'a self,
-        instruments: &Instruments,
-        table: &'t LockTable,
-        id: usize,
-    ) -> ProfiledGuard<'a, 't, T> {
-        let started = Instant::now();
-        let mut failed = 0u64;
-        loop {
-            let outcome = match self.inner.try_lock() {
-                Ok(guard) => Some(guard),
-                Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-                Err(TryLockError::WouldBlock) => None,
-            };
-            match outcome {
-                Some(inner) => {
-                    instruments.record_acquire();
-                    let waited = if failed > 0 { started.elapsed() } else { Duration::ZERO };
-                    table.record_acquire(id, waited, failed);
-                    return ProfiledGuard { inner, table, id, acquired_at: Instant::now() };
-                }
-                None => {
-                    instruments.record_failed_attempt();
-                    failed = failed.saturating_add(1);
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Guard returned by [`ProfiledMutex::lock_profiled`]: dereferences to the
-/// protected value and records the hold time into the lock table when
-/// dropped (measured to the start of the release, before the underlying
-/// mutex unlocks).
-#[derive(Debug)]
-pub struct ProfiledGuard<'a, 't, T> {
-    inner: MutexGuard<'a, T>,
-    table: &'t LockTable,
-    id: usize,
-    acquired_at: Instant,
-}
-
-impl<T> Deref for ProfiledGuard<'_, '_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> DerefMut for ProfiledGuard<'_, '_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> Drop for ProfiledGuard<'_, '_, T> {
-    fn drop(&mut self) {
-        self.table.record_release(self.id, self.acquired_at.elapsed());
     }
 }
 
@@ -468,12 +398,6 @@ pub struct ExecutionReport {
     /// Production intervals that ran to the quiescence bound without an
     /// alarm (event-driven trigger only).
     pub resample_quiescent: u64,
-    /// Per-lock profile snapshot, indexed by lock id — empty unless a lock
-    /// table was passed to [`AdaptiveExecutor::run_flight_recorded`].
-    /// Wall-clock quantities with saturating accounting: counts are exact (every
-    /// operation through [`ProfiledMutex::lock_profiled`] is recorded), but
-    /// durations are measured timestamps, not modeled costs.
-    pub lock_profile: Vec<LockMetrics>,
 }
 
 impl ExecutionReport {
@@ -618,7 +542,7 @@ struct ControlState<O: Observer> {
     trace: Vec<PhaseRecord>,
     quarantine_log: Vec<PolicyId>,
     rehab_log: Vec<PolicyId>,
-    /// The caller's trace and journal, guarded by the control lock so
+    /// The caller's observer, guarded by the control lock so
     /// events and records arrive in a single total order with monotone
     /// wall-clock offsets.
     obs: O,
@@ -677,39 +601,28 @@ impl AdaptiveExecutor {
         workload: &W,
         num_items: usize,
     ) -> Result<ExecutionReport, ExecError> {
-        self.run_flight_recorded(workload, num_items, &mut (), &mut (), None)
+        self.run_flight_recorded(workload, num_items, ())
     }
 
-    /// [`run`](AdaptiveExecutor::run) with the observation channels
-    /// attached: the adaptation timeline into `sink` and every controller
-    /// decision, with its evidence snapshot, into `journal`, both stamped
-    /// with wall-clock offsets from the start of the run; and, with a
-    /// `table`, its per-lock profile in the report's
-    /// [`lock_profile`](ExecutionReport::lock_profile). Pass `&mut ()` for
-    /// a channel you do not attach; it monomorphizes away.
-    ///
-    /// The workload must route its lock operations through
-    /// [`ProfiledMutex::lock_profiled`] with the *same* table for the
-    /// profile to be meaningful; when it does, per-lock acquire and
-    /// failed-attempt sums equal the aggregate
-    /// [`counters`](ExecutionReport::counters) exactly, and wall-clock wait
-    /// and hold totals are bounded by `elapsed × workers` (saturating).
+    /// [`run`](AdaptiveExecutor::run) reporting to `obs`: the adaptation
+    /// timeline as trace events and every controller decision, with its
+    /// evidence snapshot, as a decision record, both stamped with
+    /// wall-clock offsets from the start of the run. Pass a pair such as
+    /// `(&mut ring, &mut journal)` to attach several channels; `()`
+    /// monomorphizes away.
     ///
     /// # Errors
     ///
     /// Same as [`run`](AdaptiveExecutor::run).
-    pub fn run_flight_recorded<W, S, J>(
+    pub fn run_flight_recorded<W, O>(
         &self,
         workload: &W,
         num_items: usize,
-        sink: &mut S,
-        journal: &mut J,
-        table: Option<&LockTable>,
+        mut obs: O,
     ) -> Result<ExecutionReport, ExecError>
     where
         W: AdaptiveWorkload,
-        S: Observer + Send,
-        J: Observer + Send,
+        O: Observer + Send,
     {
         if workload.num_versions() != self.config.controller.num_policies {
             return Err(ExecError::VersionMismatch {
@@ -719,7 +632,6 @@ impl AdaptiveExecutor {
         }
         let mut controller =
             Controller::try_new(self.config.controller.clone()).map_err(ExecError::Controller)?;
-        let mut obs = (sink, journal);
         obs.event(
             Duration::ZERO,
             TraceEvent::RunStart {
@@ -779,7 +691,6 @@ impl AdaptiveExecutor {
             panics: shared.panics.load(Ordering::Relaxed),
             resample_alarms: counts.resample_alarms,
             resample_quiescent: counts.resample_quiescent,
-            lock_profile: table.map(LockTable::snapshot).unwrap_or_default(),
         })
     }
 
@@ -1065,65 +976,6 @@ mod tests {
         assert!(report.counters.acquires >= 2_000);
     }
 
-    /// Two-lock workload whose every lock operation goes through the
-    /// profiled path, so per-lock sums must match the aggregate counters
-    /// exactly.
-    struct TwoLocks<'t> {
-        slots: [ProfiledMutex<u64>; 2],
-        table: &'t LockTable,
-    }
-
-    impl AdaptiveWorkload for TwoLocks<'_> {
-        fn num_versions(&self) -> usize {
-            2
-        }
-        fn run_item(&self, version: usize, item: usize, ins: &Instruments) {
-            // Version 0 hammers both slots; version 1 touches one.
-            let rounds = if version == 0 { 4 } else { 1 };
-            for r in 0..rounds {
-                let id = (item + r) % 2;
-                *self.slots[id].lock_profiled(ins, self.table, id) += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn profiled_run_attributes_all_lock_activity_within_bounds() {
-        let table = LockTable::new(2);
-        let w = TwoLocks { slots: [ProfiledMutex::new(0), ProfiledMutex::new(0)], table: &table };
-        let report = exec(3)
-            .run_flight_recorded(&w, 4_000, &mut (), &mut (), Some(&table))
-            .expect("no panics");
-        assert_eq!(report.items_processed, 4_000);
-        let profile = &report.lock_profile;
-        assert_eq!(profile.len(), 2);
-
-        // Counts are exact: every acquire and failed attempt went through
-        // the profiled path, so per-lock sums equal the aggregates.
-        let acquires: u64 = profile.iter().map(|m| m.acquires).sum();
-        let failed: u64 = profile.iter().map(|m| m.failed_attempts).sum();
-        let releases: u64 = profile.iter().map(|m| m.releases).sum();
-        assert_eq!(acquires, report.counters.acquires);
-        assert_eq!(failed, report.counters.failed_attempts);
-        assert_eq!(releases, acquires, "every guard dropped");
-        assert!(profile.iter().all(|m| !m.is_empty()), "both slots saw traffic");
-
-        // Durations are wall-clock measurements under saturating
-        // accounting: bounded by total worker time, not exact.
-        let budget = report.elapsed.saturating_mul(3).saturating_add(Duration::from_millis(50));
-        let waited: Duration = profile.iter().map(|m| m.waiting).sum();
-        let held: Duration = profile.iter().map(|m| m.held).sum();
-        assert!(waited <= budget, "waited {waited:?} > budget {budget:?}");
-        assert!(held <= budget, "held {held:?} > budget {budget:?}");
-    }
-
-    #[test]
-    fn unprofiled_run_reports_an_empty_lock_profile() {
-        let w = LockHeavy { counter: ProfiledMutex::new(0), applied: AtomicU64::new(0) };
-        let report = exec(2).run(&w, 500).expect("no panics");
-        assert!(report.lock_profile.is_empty());
-    }
-
     #[test]
     fn calibration_returns_positive_costs() {
         // The guard held across the burst guarantees contention, so
@@ -1376,9 +1228,7 @@ mod fault_tests {
             ..ExecutorConfig::default()
         });
         let mut ring = crate::trace::RingBuffer::new(4096);
-        let report = exec
-            .run_flight_recorded(&Sluggish, 2_000, &mut ring, &mut (), None)
-            .expect("completes");
+        let report = exec.run_flight_recorded(&Sluggish, 2_000, &mut ring).expect("completes");
         assert_eq!(report.items_processed, 2_000);
         // Version 0 blows every 800µs deadline by sleeping 5ms per item, so
         // the health machine must have at least put it on notice.

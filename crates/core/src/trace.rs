@@ -4,8 +4,9 @@
 //! switches policies and *what* each phase measured. This module makes that
 //! timeline a first-class artifact: the drivers (the discrete-event
 //! simulator runtime in `dynfb-sim` and the real-thread executor in
-//! [`crate::realtime`]) emit [`TraceEvent`]s into an [`Observer`] at every
-//! controller decision, through [`crate::journal::record_decision`].
+//! [`crate::realtime`]) emit [`TraceEvent`]s into an
+//! [`Observer`](crate::observer::Observer) at every controller decision,
+//! through [`crate::journal::record_decision`].
 //!
 //! * **Timestamps** are [`Duration`]s from the start of the run. The
 //!   simulator stamps events with *virtual* time, so its traces are
@@ -23,8 +24,7 @@
 //!   the same events always produce the same bytes.
 
 use crate::controller::Phase;
-use crate::observer::Observer;
-use std::collections::VecDeque;
+use crate::observer::Recorder;
 use std::fmt;
 use std::time::Duration;
 
@@ -211,62 +211,9 @@ pub struct TracedEvent {
     pub event: TraceEvent,
 }
 
-/// A bounded collector: keeps the most recent `capacity` events, counting
-/// (not silently discarding) anything older that had to be dropped.
-#[derive(Debug, Clone, Default)]
-pub struct RingBuffer {
-    capacity: usize,
-    events: VecDeque<TracedEvent>,
-    dropped: u64,
-}
-
-impl RingBuffer {
-    /// A ring buffer holding at most `capacity` events (minimum 1). Storage
-    /// grows with use: recorders are built before their runs, and most
-    /// runs record a small fraction of the capacity.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RingBuffer { capacity, events: VecDeque::new(), dropped: 0 }
-    }
-
-    /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Iterate over the buffered events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TracedEvent> {
-        self.events.iter()
-    }
-
-    /// Consume the buffer, returning the events oldest first.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TracedEvent> {
-        self.events.into()
-    }
-}
-
-impl Observer for RingBuffer {
-    fn event(&mut self, at: Duration, event: TraceEvent) {
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TracedEvent { at, event });
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
+/// The bounded collector of trace events: keeps the most recent
+/// `capacity` events and counts the older ones it dropped.
+pub type RingBuffer = Recorder<TracedEvent>;
 
 /// The interval-end event for a phase that just completed (`None` when
 /// idle).
@@ -310,8 +257,10 @@ fn ts_us(d: Duration) -> String {
 }
 
 /// Escape a string for a JSON string literal: `"`, `\` and control
-/// characters (as `\u00XX`). The trace and metrics exporters share it.
-pub(crate) fn json_escape(s: &str) -> String {
+/// characters (as `\u00XX`). Every JSON exporter of the workspace shares
+/// it.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -406,6 +355,7 @@ pub fn chrome_trace_json<'e>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::Observer;
 
     #[test]
     fn ring_buffer_drops_oldest_and_counts() {
@@ -415,7 +365,7 @@ mod tests {
         }
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.dropped(), 3);
-        let events = ring.into_events();
+        let events = ring.into_vec();
         assert_eq!(events[0].at, Duration::from_nanos(3));
         assert_eq!(events[1].at, Duration::from_nanos(4));
     }
@@ -431,6 +381,12 @@ mod tests {
         }
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.dropped(), 8);
+    }
+
+    #[test]
+    fn json_escape_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]
@@ -463,7 +419,7 @@ mod tests {
             Duration::from_micros(5),
             TraceEvent::PolicySwitch { from: 0, to: 1, reason: SwitchReason::NextSample },
         );
-        let events = ring.into_events();
+        let events = ring.into_vec();
         let a = chrome_trace_json("run \"x\"", &events);
         let b = chrome_trace_json("run \"x\"", &events);
         assert_eq!(a, b);

@@ -207,11 +207,9 @@ fn trace_events_are_ordered_and_consistent_with_the_report() {
     let workers = 2;
     let w = Toy::new();
     let mut ring = RingBuffer::new(1 << 16);
-    let report = exec(workers)
-        .run_flight_recorded(&w, 150_000, &mut ring, &mut (), None)
-        .expect("no panics");
+    let report = exec(workers).run_flight_recorded(&w, 150_000, &mut ring).expect("no panics");
     assert_eq!(ring.dropped(), 0);
-    let events: Vec<TracedEvent> = ring.into_events();
+    let events: Vec<TracedEvent> = ring.into_vec();
 
     // Bracketing and monotone wall-clock offsets.
     assert!(
@@ -254,11 +252,11 @@ fn journal_mirrors_the_trace_and_wall_clock_strips_cleanly() {
     let w = Toy::new();
     let mut ring = RingBuffer::new(1 << 16);
     let mut journal = JournalBuffer::new(1 << 16);
-    exec(2).run_flight_recorded(&w, 150_000, &mut ring, &mut journal, None).expect("no panics");
+    exec(2).run_flight_recorded(&w, 150_000, (&mut ring, &mut journal)).expect("no panics");
     assert_eq!(journal.dropped(), 0);
     assert_eq!(ring.dropped(), 0);
 
-    let records = journal.into_records();
+    let records = journal.into_vec();
     assert!(!records.is_empty(), "a long adaptive run must decide");
 
     // Journal switches agree 1:1 with trace PolicySwitch events.
@@ -312,7 +310,7 @@ fn quarantine_emits_a_policy_switch_event() {
     let mut ring = RingBuffer::new(1 << 14);
     let mut journal = JournalBuffer::new(1 << 14);
     let report = exec(2)
-        .run_flight_recorded(&HalfBroken, 2_000, &mut ring, &mut journal, None)
+        .run_flight_recorded(&HalfBroken, 2_000, (&mut ring, &mut journal))
         .expect("version 1 survives");
     std::panic::set_hook(prev);
     assert_eq!(report.items_processed, 2_000);
@@ -359,12 +357,12 @@ fn quarantine_ends_the_interrupted_interval_and_opens_the_next() {
     let mut ring = RingBuffer::new(1 << 16);
     let mut journal = JournalBuffer::new(1 << 16);
     let report = exec(2)
-        .run_flight_recorded(&HalfBroken, 20_000, &mut ring, &mut journal, None)
+        .run_flight_recorded(&HalfBroken, 20_000, (&mut ring, &mut journal))
         .expect("version 1 survives");
     std::panic::set_hook(prev);
     assert_eq!(report.items_processed, 20_000);
     assert_eq!((ring.dropped(), journal.dropped()), (0, 0));
-    let events: Vec<TracedEvent> = ring.into_events();
+    let events: Vec<TracedEvent> = ring.into_vec();
 
     // The quarantine switch sits between the interrupted interval's
     // partial End and the Start of the phase among the survivors, all at

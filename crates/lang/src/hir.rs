@@ -67,15 +67,6 @@ impl Ty {
     pub fn is_reference(&self) -> bool {
         matches!(self, Ty::Object(_) | Ty::Array(_) | Ty::Null)
     }
-
-    /// Whether a value of type `self` can be assigned from `from`
-    /// (identical, `int → double` widening, or `null` into a reference).
-    #[must_use]
-    pub fn accepts(&self, from: &Ty) -> bool {
-        self == from
-            || (*self == Ty::Double && *from == Ty::Int)
-            || (self.is_reference() && *from == Ty::Null)
-    }
 }
 
 impl fmt::Display for Ty {

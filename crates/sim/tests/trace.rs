@@ -66,7 +66,7 @@ fn traced(cfg: &RunConfig) -> (dynfb_sim::AppReport, Vec<TracedEvent>) {
     let report = run_app_flight_recorded(Mini::default(), cfg, &mut ring, &mut (), &mut ())
         .expect("run succeeds");
     assert_eq!(ring.dropped(), 0, "ring buffer truncated the trace");
-    (report, ring.into_events())
+    (report, ring.into_vec())
 }
 
 /// Regression (paper §3 fallback): the watchdog fires while the very first
